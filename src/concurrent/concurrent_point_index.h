@@ -3,49 +3,27 @@
 // CuckooMap), behind the library-wide
 // index::ConcurrentWritablePointIndex contract.
 //
-// Same version architecture as the range side
-// (concurrent_writable_index.h), specialized to keyed records:
-//
-//   State = { base records + built Base map   (shared with older versions)
-//           , frozen overlay                  (sorted, one entry per key,
-//                                              newest sequence number wins)
-//           , write log                       (append-only, bounded) }
-//
-// Readers pin an epoch, load the current version with one atomic load,
-// and answer newest-first: log suffix -> frozen overlay -> base map. The
-// log-count store is the serialization point. Every overlay entry carries
-// the full record plus a monotone per-write sequence number; reads copy
-// the record out under the pin (the contract is value-semantics exactly
-// because a base pointer would dangle once a rebuild retires its
-// version).
-//
-// Writers serialize on one mutex (contention is counted), append to the
-// log, and publish the new count with a release store. A full log is
-// *frozen*: folded into the sorted overlay, republished as a new version,
-// the old one retired to the epoch manager.
-//
-// Rehash/resize runs on a background worker so no caller ever pays the
-// table rebuild inline:
-//   1. rotate: fold any pending log so the overlay to fold is a frozen,
-//      immutable snapshot; record the snapshot sequence number (brief
-//      writer lock);
-//   2. build: apply the snapshot overlay over the base records and build
-//      a replacement table over the merged set — off to the side, no
-//      locks held. Cuckoo kick-chains run entirely against this private
-//      table, never the published one, and an explicit slot budget is
-//      rescaled to the merged record count (this is where resize
-//      happens);
-//   3. publish: keep only overlay entries written *after* the snapshot
-//      sequence number (everything else is baked into the new table),
-//      swap the version in atomically, retire the old one (brief writer
-//      lock).
-// The sequence-number rebase is what makes upserts safe: a payload
-// update that raced the build keeps shadowing the new base, while
-// anything the build captured is dropped without a by-key membership
-// probe. Readers never block on any phase; a failed rebuild (e.g. a
-// cuckoo table that cannot place at the configured load factor even
-// after the fallback relaxations) leaves the old version serving and
-// surfaces through last_rebuild_status().
+// The version lifecycle and the background worker are the shared ones of
+// versioned.h and background_worker.h. What this wrapper supplies:
+//   * versions { base records + built Base map, frozen overlay (sorted, one
+//     entry per key, newest sequence number wins), write log };
+//   * the read fold, newest-first: log suffix -> frozen overlay -> base
+//     map. Every overlay entry carries the full record plus a monotone
+//     per-write sequence number; reads copy the record out under the pin
+//     (the contract is value-semantics exactly because a base pointer
+//     would dangle once a rebuild retires its version);
+//   * the rehash/resize body: apply the rotated overlay over the base
+//     records and build a replacement table over the merged set. Cuckoo
+//     kick-chains run entirely against this private table, and an explicit
+//     slot budget is rescaled to the merged record count (this is where
+//     resize happens). The publish keeps only overlay entries written
+//     *after* the rotation's sequence number: a payload update that raced
+//     the build keeps shadowing the new base, while anything the build
+//     captured is dropped without a by-key membership probe. A failed
+//     rebuild (e.g. a cuckoo table that cannot place at the configured
+//     load factor even after the fallback relaxations) leaves the old
+//     version serving and surfaces through last_rebuild_status();
+//   * the trigger: overlay size reaching Config::rebuild_entries.
 //
 // Single-threaded use degenerates to exact map semantics (same oracle
 // conformance suite as the static families), which is what lets the LIF
@@ -57,20 +35,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/timer.h"
-#include "concurrent/epoch.h"
+#include "concurrent/background_worker.h"
+#include "concurrent/versioned.h"
 #include "hash/record.h"
 #include "index/concurrent_point_index.h"
 #include "index/concurrent_writable_index.h"
@@ -167,21 +143,21 @@ class ConcurrentPointIndex {
   /// into a fresh base table. Blocks the caller only; readers stay
   /// lock-free.
   Status Rebuild() {
-    return impl_ ? impl_->Rebuild()
+    return impl_ ? impl_->worker_.RunSync()
                  : Status::FailedPrecondition(
                        "ConcurrentPointIndex: not built");
   }
   /// Asynchronous rebuild trigger; coalesces with a pending request.
   void RequestRebuild() {
-    if (impl_ != nullptr) impl_->RequestRebuild();
+    if (impl_ != nullptr) impl_->worker_.Request();
   }
   /// Blocks until no rebuild is pending or running (the quiesce point).
   void WaitForRebuilds() {
-    if (impl_ != nullptr) impl_->WaitForRebuilds();
+    if (impl_ != nullptr) impl_->worker_.WaitIdle();
   }
   /// Outcome of the most recent background rebuild cycle.
   Status last_rebuild_status() const {
-    return impl_ ? impl_->last_rebuild_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   const Config& config() const {
@@ -201,34 +177,19 @@ class ConcurrentPointIndex {
     bool tombstone = false;
   };
 
+  using Log = WriteLog<OvEntry>;
+
+  /// One published version; only its log's unpublished tail changes.
   struct State {
     std::shared_ptr<const std::vector<hash::Record>> base_records;
     std::shared_ptr<const Base> base;  // built over *base_records
     std::vector<OvEntry> frozen;       // sorted by key, one entry per key
-    std::unique_ptr<OvEntry[]> log;
-    size_t log_cap = 0;
-    std::atomic<uint32_t> log_count{0};
+    typename Log::Segment log;
   };
 
-  struct alignas(64) ReadStripe {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> overlay_hits{0};
-  };
-  static constexpr size_t kStripes = 16;
+  enum ReadCounter : size_t { kLookups, kOverlayHits, kNumReads };
 
   struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        shutdown_ = true;
-      }
-      rebuild_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete state_.load(std::memory_order_relaxed);
-      EpochManager::Free(deferred_free_);
-      // epoch_ frees everything still on its retired list.
-    }
-
     Status Build(std::span<const hash::Record> records, const Config& config) {
       config_ = config;
       config_.log_cap = std::max<size_t>(config.log_cap, 2);
@@ -260,28 +221,27 @@ class ConcurrentPointIndex {
       }
       live_count_.store(static_cast<int64_t>(br->size()),
                         std::memory_order_relaxed);
-      State* s = new State;
-      s->base_records = std::move(br);
-      s->base = std::move(base);
-      s->log = std::make_unique<OvEntry[]>(config_.log_cap);
-      s->log_cap = config_.log_cap;
-      state_.store(s, std::memory_order_seq_cst);
-      worker_ = std::thread([this] { WorkerLoop(); });
+      version_.Publish(NewState(std::move(br), std::move(base), {}));
+      worker_.Start([this] { return DoBackgroundRebuild(); });
       return Status::OK();
+    }
+
+    State* NewState(std::shared_ptr<const std::vector<hash::Record>> records,
+                    std::shared_ptr<const Base> base,
+                    std::vector<OvEntry> frozen) const {
+      return new State{std::move(records), std::move(base), std::move(frozen),
+                       typename Log::Segment(config_.log_cap)};
     }
 
     // ---- read path ----
 
     bool Find(uint64_t key, hash::Record* out) const {
-      ReadStripe& stripe = Stripe();
-      stripe.lookups.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return false;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const int ov = OverlayFind(*s, n, key, out);
+      std::atomic<uint64_t>* stripe = reads_.Stripe();
+      stripe[kLookups].fetch_add(1, std::memory_order_relaxed);
+      const auto s = version_.Pin();
+      const int ov = OverlayFind(*s, s->log.published(), key, out);
       if (ov >= 0) {
-        stripe.overlay_hits.fetch_add(1, std::memory_order_relaxed);
+        stripe[kOverlayHits].fetch_add(1, std::memory_order_relaxed);
         return ov == 1;
       }
       const hash::Record* r = s->base->Find(key);
@@ -294,15 +254,10 @@ class ConcurrentPointIndex {
                    std::span<hash::Record> recs,
                    std::span<uint8_t> found) const {
       const size_t m = std::min({keys.size(), recs.size(), found.size()});
-      ReadStripe& stripe = Stripe();
-      stripe.lookups.fetch_add(m, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) {
-        for (size_t i = 0; i < m; ++i) found[i] = 0;
-        return;
-      }
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
+      std::atomic<uint64_t>* stripe = reads_.Stripe();
+      stripe[kLookups].fetch_add(m, std::memory_order_relaxed);
+      const auto s = version_.Pin();
+      const std::span<const OvEntry> log = s->log.published();
       const bool base_has_records = s->base->num_records() > 0;
       // Blocked: the base's native batch path (the SIMD slot kernels)
       // resolves each block, then the overlay patches the keys it
@@ -319,9 +274,9 @@ class ConcurrentPointIndex {
         }
         for (size_t i = 0; i < len; ++i) {
           hash::Record tmp;
-          const int ov = OverlayFind(*s, n, keys[beg + i], &tmp);
+          const int ov = OverlayFind(*s, log, keys[beg + i], &tmp);
           if (ov >= 0) {
-            stripe.overlay_hits.fetch_add(1, std::memory_order_relaxed);
+            stripe[kOverlayHits].fetch_add(1, std::memory_order_relaxed);
             found[beg + i] = ov == 1 ? 1 : 0;
             if (ov == 1) recs[beg + i] = tmp;
           } else if (ptrs[i] != nullptr) {
@@ -340,30 +295,21 @@ class ConcurrentPointIndex {
     }
 
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return 0;
+      const auto s = version_.Pin();
       return s->base->SizeBytes() +
              s->base_records->size() * sizeof(hash::Record) +
              s->frozen.size() * sizeof(OvEntry) +
-             s->log_cap * sizeof(OvEntry);
+             s->log.capacity() * sizeof(OvEntry);
     }
 
     index::PointIndexStats Stats() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      return s != nullptr ? s->base->Stats() : index::PointIndexStats{};
+      return version_.Pin()->base->Stats();
     }
 
     index::ConcurrentIndexStats ConcurrentStats() const {
       index::ConcurrentIndexStats cs;
-      uint64_t lookups = 0, hits = 0;
-      for (const ReadStripe& r : read_stripes_) {
-        lookups += r.lookups.load(std::memory_order_relaxed);
-        hits += r.overlay_hits.load(std::memory_order_relaxed);
-      }
-      cs.lookups = lookups;
-      cs.delta_hits = hits;
+      cs.lookups = reads_.Sum(kLookups);
+      cs.delta_hits = reads_.Sum(kOverlayHits);
       cs.inserts = inserts_.load(std::memory_order_relaxed);
       cs.erases = erases_.load(std::memory_order_relaxed);
       cs.merges = rebuilds_.load(std::memory_order_relaxed);
@@ -373,25 +319,13 @@ class ConcurrentPointIndex {
           last_rebuild_ns_.load(std::memory_order_relaxed));
       cs.total_merge_ns = static_cast<double>(
           total_rebuild_ns_.load(std::memory_order_relaxed));
-      cs.freezes = freezes_.load(std::memory_order_relaxed);
-      cs.writer_contended =
-          writer_contended_.load(std::memory_order_relaxed);
-      cs.states_published =
-          states_published_.load(std::memory_order_relaxed);
-      cs.states_retired = epoch_.retired_count();
-      cs.states_reclaimed = epoch_.reclaimed_count();
-      cs.epoch_fallback_pins = epoch_.fallback_pins();
-      {
-        EpochManager::Guard g(epoch_);
-        const State* s = state_.load(std::memory_order_seq_cst);
-        if (s != nullptr) {
-          const uint32_t n = s->log_count.load(std::memory_order_acquire);
-          cs.log_entries = n;
-          cs.delta_entries = s->frozen.size() + n;
-          cs.delta_bytes = (s->frozen.size() + s->log_cap) * sizeof(OvEntry);
-          cs.base_keys = s->base_records->size();
-        }
-      }
+      version_.FillStats(cs);
+      cs.writer_contended = log_.contended();
+      const auto s = version_.Pin();
+      cs.log_entries = s->log.published().size();
+      cs.delta_entries = s->frozen.size() + cs.log_entries;
+      cs.delta_bytes = (s->frozen.size() + s->log.capacity()) * sizeof(OvEntry);
+      cs.base_keys = s->base_records->size();
       cs.shards = 1;
       return cs;
     }
@@ -399,34 +333,20 @@ class ConcurrentPointIndex {
     // ---- write path ----
 
     bool Write(const hash::Record& rec, WriteKind kind) {
-      std::unique_lock<std::mutex> lk(write_mu_, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        writer_contended_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
-      State* s = state_.load(std::memory_order_relaxed);
-      uint32_t n = s->log_count.load(std::memory_order_relaxed);
-      const bool live = LiveLocked(*s, n, rec.key);
+      std::unique_lock<std::mutex> lk = log_.Lock();
+      State* s = version_.current();
+      const bool live = LiveLocked(*s, rec.key);
       // No-op writes return without consuming log space: a first-wins
       // insert of a live key, or the erase of an absent one.
-      if (kind == WriteKind::kInsert && live) {
-        DrainDeferredFrees(lk);
+      if ((kind == WriteKind::kInsert && live) ||
+          (kind == WriteKind::kErase && !live)) {
+        version_.DrainDeferred(lk);
         return false;
       }
-      if (kind == WriteKind::kErase && !live) {
-        DrainDeferredFrees(lk);
-        return false;
-      }
-      if (n == s->log_cap) {
-        s = FreezeLocked(s, n);
-        n = 0;
-      }
-      OvEntry& e = s->log[n];
-      e.rec = rec;
-      e.seq = ++seq_last_;
-      e.tombstone = kind == WriteKind::kErase;
-      s->log_count.store(n + 1, std::memory_order_release);
-      if (e.tombstone) {
+      if (s->log.full_locked()) s = FreezeLocked(*s);
+      const bool tombstone = kind == WriteKind::kErase;
+      s->log.Append(OvEntry{rec, ++seq_last_, tombstone});
+      if (tombstone) {
         live_count_.fetch_add(-1, std::memory_order_relaxed);
         erases_.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -434,60 +354,21 @@ class ConcurrentPointIndex {
         inserts_.fetch_add(1, std::memory_order_relaxed);
       }
       if (config_.rebuild_entries != 0 &&
-          s->frozen.size() + n + 1 >= config_.rebuild_entries) {
-        RequestRebuild();
+          s->frozen.size() + s->log.size_locked() >= config_.rebuild_entries) {
+        worker_.Request();
       }
-      const bool changed = e.tombstone ? true : !live;
-      DrainDeferredFrees(lk);  // heavy frees happen outside the lock
-      return changed;
-    }
-
-    // ---- rebuild control ----
-
-    void RequestRebuild() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        rebuild_requested_ = true;
-      }
-      rebuild_cv_.notify_one();
-    }
-
-    Status Rebuild() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_requested_ = true;
-      rebuild_cv_.notify_one();
-      const uint64_t start = rebuild_cycles_;
-      rebuild_done_cv_.wait(lk, [&] {
-        return rebuild_cycles_ > start && !rebuild_requested_ &&
-               !rebuild_running_;
-      });
-      return last_rebuild_status_;
-    }
-
-    void WaitForRebuilds() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_done_cv_.wait(
-          lk, [&] { return !rebuild_requested_ && !rebuild_running_; });
-    }
-
-    Status last_rebuild_status() const {
-      std::lock_guard<std::mutex> lk(rebuild_mu_);
-      return last_rebuild_status_;
+      version_.DrainDeferred(lk);  // heavy frees happen outside the lock
+      return tombstone ? true : !live;
     }
 
     // ---- internals ----
 
-    ReadStripe& Stripe() const {
-      return read_stripes_[ThisThreadIndex() % kStripes];
-    }
-
     /// Overlay verdict for `key`: 1 = live (record copied into *out),
     /// 0 = tombstoned, -1 = not in the overlay (consult the base).
     /// Newest-first: log suffix before frozen.
-    int OverlayFind(const State& s, uint32_t n, uint64_t key,
+    int OverlayFind(const State& s, std::span<const OvEntry> log, uint64_t key,
                     hash::Record* out) const {
-      const OvEntry* log = s.log.get();
-      for (uint32_t i = n; i-- > 0;) {  // newest write wins
+      for (size_t i = log.size(); i-- > 0;) {  // newest write wins
         if (log[i].rec.key == key) {
           if (log[i].tombstone) return 0;
           *out = log[i].rec;
@@ -507,78 +388,33 @@ class ConcurrentPointIndex {
 
     /// Liveness of `key` under the writer mutex (no guard needed: only
     /// writers swap state, and we hold the writer mutex).
-    bool LiveLocked(const State& s, uint32_t n, uint64_t key) const {
+    bool LiveLocked(const State& s, uint64_t key) const {
       hash::Record tmp;
-      const int ov = OverlayFind(s, n, key, &tmp);
+      const int ov = OverlayFind(s, s.log.locked(), key, &tmp);
       if (ov >= 0) return ov == 1;
       return s.base->Find(key) != nullptr;
     }
 
-    /// Newest-wins fold of `s.frozen` + `s.log[0..n)` into one sorted
-    /// entry list. Log order is sequence order, so "last index in the
-    /// group" is the newest write per key.
-    std::vector<OvEntry> FoldedOverlay(const State& s, uint32_t n) const {
-      const OvEntry* log = s.log.get();
-      std::vector<uint32_t> order(n);
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        if (log[a].rec.key != log[b].rec.key) {
-          return log[a].rec.key < log[b].rec.key;
-        }
-        return a < b;
-      });
+    /// Newest-wins fold of `s.frozen` + the whole log (writer mutex held)
+    /// into one sorted overlay.
+    std::vector<OvEntry> FoldedOverlay(const State& s) const {
       std::vector<OvEntry> out;
-      out.reserve(s.frozen.size() + n);
-      size_t oi = 0;
-      auto emit_group = [&] {
-        const uint64_t k = log[order[oi]].rec.key;
-        size_t gend = oi;
-        while (gend < order.size() && log[order[gend]].rec.key == k) ++gend;
-        out.push_back(log[order[gend - 1]]);  // newest per key
-        oi = gend;
-      };
-      for (const OvEntry& fe : s.frozen) {
-        while (oi < order.size() && log[order[oi]].rec.key < fe.rec.key) {
-          emit_group();
-        }
-        if (oi < order.size() && log[order[oi]].rec.key == fe.rec.key) {
-          emit_group();  // log shadows frozen (always the newer sequence)
-        } else {
-          out.push_back(fe);
-        }
-      }
-      while (oi < order.size()) emit_group();
+      out.reserve(s.frozen.size() + s.log.size_locked());
+      s.log.Fold(
+          s.frozen, [](const OvEntry& e) { return e.rec.key; },
+          [&](const OvEntry* f, const OvEntry*, const OvEntry* last) {
+            out.push_back(last != nullptr ? *last : *f);
+          });
       return out;
     }
 
     /// Folds the full write log into the frozen overlay and publishes the
     /// result as a new version (same base). Caller holds the writer
     /// mutex. Returns the published version.
-    State* FreezeLocked(State* s, uint32_t n) {
-      State* ns = new State;
-      ns->base_records = s->base_records;
-      ns->base = s->base;
-      ns->frozen = FoldedOverlay(*s, n);
-      ns->log = std::make_unique<OvEntry[]>(config_.log_cap);
-      ns->log_cap = config_.log_cap;
-      PublishLocked(ns, s);
-      freezes_.fetch_add(1, std::memory_order_relaxed);
+    State* FreezeLocked(const State& s) {
+      State* ns = NewState(s.base_records, s.base, FoldedOverlay(s));
+      version_.PublishFreeze(ns);
       return ns;
-    }
-
-    void PublishLocked(State* fresh, State* old) {
-      state_.store(fresh, std::memory_order_seq_cst);
-      states_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-      epoch_.ReclaimTo(deferred_free_);
-    }
-
-    void DrainDeferredFrees(std::unique_lock<std::mutex>& lk) {
-      if (deferred_free_.empty()) return;
-      std::vector<EpochManager::Retired> batch;
-      batch.swap(deferred_free_);
-      lk.unlock();
-      EpochManager::Free(batch);
     }
 
     typename Base::config_type ScaledBaseConfig(size_t num_records) const {
@@ -626,18 +462,17 @@ class ConcurrentPointIndex {
       {
         // Phase 1 — rotate: fold any pending log so the overlay to bake
         // in is an immutable snapshot (O(overlay), brief).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        if (n > 0) s = FreezeLocked(s, n);
+        std::unique_lock<std::mutex> lk(log_.mutex());
+        State* s = version_.current();
+        if (s->log.size_locked() > 0) s = FreezeLocked(*s);
         if (s->frozen.empty()) {
-          DrainDeferredFrees(lk);
+          version_.DrainDeferred(lk);
           return Status::OK();
         }
         snapshot = s->frozen;
         old_records = s->base_records;
         snapshot_seq = seq_last_;
-        DrainDeferredFrees(lk);
+        version_.DrainDeferred(lk);
       }
       // Phase 2 — build off to the side: no locks, readers undisturbed.
       // Kick-chains, probe placement, model training — everything runs
@@ -668,26 +503,16 @@ class ConcurrentPointIndex {
       {
         // Phase 3 — publish: keep only overlay entries written after the
         // snapshot (the new table reflects everything at or before it).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        std::vector<OvEntry> folded = FoldedOverlay(*s, n);
+        std::unique_lock<std::mutex> lk(log_.mutex());
         std::vector<OvEntry> rebased;
-        rebased.reserve(folded.size());
-        for (const OvEntry& e : folded) {
+        for (const OvEntry& e : FoldedOverlay(*version_.current())) {
           if (e.seq > snapshot_seq) rebased.push_back(e);
         }
-        State* ns = new State;
-        ns->base_records = std::move(merged);
-        ns->base = std::move(new_base);
-        ns->frozen = std::move(rebased);
-        ns->log = std::make_unique<OvEntry[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
-        merged_records_.fetch_add(ns->base_records->size(),
-                                  std::memory_order_relaxed);
-        PublishLocked(ns, s);
+        merged_records_.fetch_add(merged->size(), std::memory_order_relaxed);
+        version_.Publish(NewState(std::move(merged), std::move(new_base),
+                                  std::move(rebased)));
         rebuilds_.fetch_add(1, std::memory_order_relaxed);
-        DrainDeferredFrees(lk);
+        version_.DrainDeferred(lk);
       }
       const uint64_t ns_elapsed =
           static_cast<uint64_t>(timer.ElapsedNanos());
@@ -696,56 +521,24 @@ class ConcurrentPointIndex {
       return Status::OK();
     }
 
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      for (;;) {
-        rebuild_cv_.wait(lk, [&] { return rebuild_requested_ || shutdown_; });
-        if (shutdown_) return;  // pending work dropped; overlay stays valid
-        rebuild_requested_ = false;
-        rebuild_running_ = true;
-        lk.unlock();
-        const Status st = DoBackgroundRebuild();
-        lk.lock();
-        rebuild_running_ = false;
-        last_rebuild_status_ = st;
-        ++rebuild_cycles_;
-        rebuild_done_cv_.notify_all();
-      }
-    }
-
     Config config_{};
-    std::atomic<State*> state_{nullptr};
-    mutable std::mutex write_mu_;
-    mutable EpochManager epoch_;
+    Log log_;
+    Versioned<State> version_;
     std::atomic<int64_t> live_count_{0};
     double slots_per_record_ = 0.0;  // 0 = base auto-sizes its table
     uint64_t seq_last_ = 0;          // writer-mutex holders only
-    // Reclaimed-but-not-freed versions (mutated under write_mu_ only;
-    // drained outside it).
-    std::vector<EpochManager::Retired> deferred_free_;
-
-    // Rebuild worker machinery.
-    std::thread worker_;
-    mutable std::mutex rebuild_mu_;
-    std::condition_variable rebuild_cv_;
-    std::condition_variable rebuild_done_cv_;
-    bool rebuild_requested_ = false;
-    bool rebuild_running_ = false;
-    bool shutdown_ = false;
-    uint64_t rebuild_cycles_ = 0;
-    Status last_rebuild_status_{};
 
     // Counters. Read stripes keep reader increments off one shared line.
-    mutable ReadStripe read_stripes_[kStripes];
+    ReadCounters<kNumReads> reads_;
     std::atomic<uint64_t> inserts_{0};
     std::atomic<uint64_t> erases_{0};
     std::atomic<uint64_t> rebuilds_{0};
     std::atomic<uint64_t> merged_records_{0};
-    std::atomic<uint64_t> freezes_{0};
-    std::atomic<uint64_t> writer_contended_{0};
-    std::atomic<uint64_t> states_published_{0};
     std::atomic<uint64_t> last_rebuild_ns_{0};
     std::atomic<uint64_t> total_rebuild_ns_{0};
+
+    // Last: joined before anything the rebuild body touches is destroyed.
+    BackgroundWorker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

@@ -2,39 +2,21 @@
 // Appendix-D.1 delta architecture, behind the library-wide
 // index::ConcurrentWritableRangeIndex contract.
 //
-// Published state is an immutable *version*:
-//
-//   State = { base keys + built Base index   (shared with older versions)
-//           , frozen delta                   (sorted runs + rank prefix sums)
-//           , write log                      (append-only, bounded) }
-//
-// Readers pin an epoch (concurrent/epoch.h), load the current version
-// with one atomic load, and answer from base + frozen + log-prefix with
-// no locks: rank = base.Lookup + frozen.RankAdjustBelow + Σ log nets.
-// Each log entry carries its *liveness delta* (net ∈ {-1,0,+1}) computed
-// at append time, so any published log prefix yields an exact lower_bound
-// rank over the live set as of that prefix — the log-count store is the
-// serialization point.
-//
-// Writers serialize on one mutex (contention is counted, and sharding —
-// sharded_index.h — is the documented escape hatch), append to the log,
-// and publish the new count with a release store. A full log is *frozen*:
-// folded into the sorted delta, republished as a new version, the old one
-// retired to the epoch manager.
-//
-// Merges run on a background worker so no caller ever pays the
-// merge+retrain latency inline:
-//   1. rotate: fold any pending log so the delta to merge is a frozen,
-//      immutable snapshot (brief writer lock);
-//   2. build: merge base ∪ delta into a fresh key array and train a new
-//      Base over it — off to the side, no locks held;
-//   3. publish: rebase whatever the delta accumulated *during* the build
-//      onto the new base (per-key membership recheck), swap the version
-//      in atomically, retire the old one (brief writer lock).
-// Readers never block on any phase; they keep serving from whichever
-// version they pinned, and the old base is reclaimed once its epoch
-// drains. Merge timing reuses the pluggable dynamic::MergePolicy,
-// evaluated by writers and executed by the worker.
+// The version lifecycle (pin, append, freeze, publish, retire) and the
+// background worker are the shared ones of versioned.h and
+// background_worker.h. What this wrapper supplies:
+//   * versions { base keys + built Base index, frozen delta (sorted runs +
+//     rank prefix sums), write log };
+//   * the read fold: rank = base.Lookup + frozen.RankAdjustBelow + Σ log
+//     nets. Each log entry carries its *liveness delta* (net ∈ {-1,0,+1})
+//     computed at append time, so any published log prefix yields an exact
+//     lower_bound rank over the live set as of that prefix;
+//   * the merge body: merge base ∪ delta into a fresh key array, train a
+//     new Base over it, and rebase what the delta gained during the build
+//     onto the new base by a per-key membership recheck;
+//   * the trigger: the pluggable dynamic::MergePolicy, evaluated by
+//     writers. Writer contention is counted; sharding (sharded_index.h) is
+//     the escape hatch.
 //
 // Single-threaded use degenerates to exact DeltaRangeIndex semantics
 // (same oracle conformance suite), which is what lets the LIF synthesizer
@@ -54,23 +36,21 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <span>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/timer.h"
-#include "concurrent/epoch.h"
+#include "concurrent/background_worker.h"
+#include "concurrent/versioned.h"
 #include "dynamic/delta_buffer.h"
 #include "dynamic/merge_policy.h"
 #include "index/approx.h"
@@ -157,21 +137,21 @@ class ConcurrentWritableIndex {
   /// Synchronous merge cycle: folds everything written before the call
   /// into the base. Blocks the caller only; readers stay lock-free.
   Status Merge() {
-    return impl_ ? impl_->Merge()
+    return impl_ ? impl_->worker_.RunSync()
                  : Status::FailedPrecondition(
                        "ConcurrentWritableIndex: not built");
   }
   /// Asynchronous merge trigger; coalesces with a pending request.
   void RequestMerge() {
-    if (impl_ != nullptr) impl_->RequestMerge();
+    if (impl_ != nullptr) impl_->worker_.Request();
   }
   /// Blocks until no merge is pending or running (the quiesce point).
   void WaitForMerges() {
-    if (impl_ != nullptr) impl_->WaitForMerges();
+    if (impl_ != nullptr) impl_->worker_.WaitIdle();
   }
   /// Outcome of the most recent background merge cycle.
   Status last_merge_status() const {
-    return impl_ ? impl_->last_merge_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   // ---- Durability (index::DurableIndex; docs/DURABILITY.md) ----
@@ -286,39 +266,20 @@ class ConcurrentWritableIndex {
     bool live_before = false; // key was live immediately before this write
   };
 
-  /// One immutable published version. Only `log[log_count..)` and
-  /// `log_count` itself ever change after publication, and only under the
-  /// writer mutex; everything a reader dereferences is behind the
-  /// release-store of `log_count` or was published with the version.
+  using Log = WriteLog<LogEntry>;
+
+  /// One published version; only its log's unpublished tail changes.
   struct State {
     std::shared_ptr<const std::vector<key_type>> base_keys;
     std::shared_ptr<const Base> base;  // spans *base_keys
     dynamic::DeltaBuffer<key_type> frozen;
-    std::unique_ptr<LogEntry[]> log;
-    size_t log_cap = 0;
-    std::atomic<uint32_t> log_count{0};
+    typename Log::Segment log;
   };
+  using DeltaEntries = std::vector<dynamic::DeltaEntry<key_type>>;
 
-  struct alignas(64) ReadStripe {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> contains{0};
-    std::atomic<uint64_t> delta_hits{0};
-  };
-  static constexpr size_t kStripes = 16;
+  enum ReadCounter : size_t { kLookups, kContains, kDeltaHits, kNumReads };
 
   struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(merge_mu_);
-        shutdown_ = true;
-      }
-      merge_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete state_.load(std::memory_order_relaxed);
-      EpochManager::Free(deferred_free_);  // collected but not yet freed
-      // epoch_ frees everything still on its retired list.
-    }
-
     Status Build(std::span<const key_type> keys, const Config& config) {
       config_ = config;
       config_.log_cap = std::max<size_t>(config.log_cap, 2);
@@ -327,81 +288,80 @@ class ConcurrentWritableIndex {
       auto base = std::make_shared<Base>();
       LI_RETURN_IF_ERROR(
           base->Build(std::span<const key_type>(*bk), config_.base));
-      State* s = new State;
-      s->base_keys = std::move(bk);
-      s->base = std::move(base);
-      s->log = std::make_unique<LogEntry[]>(config_.log_cap);
-      s->log_cap = config_.log_cap;
-      state_.store(s, std::memory_order_seq_cst);
-      live_count_.store(static_cast<int64_t>(keys.size()),
-                        std::memory_order_relaxed);
-      worker_ = std::thread([this] { WorkerLoop(); });
+      Start(std::move(bk), std::move(base), {});
       return Status::OK();
+    }
+
+    /// Publishes the first version and starts the merge worker.
+    void Start(std::shared_ptr<const std::vector<key_type>> keys,
+               std::shared_ptr<const Base> base, const DeltaEntries& delta) {
+      State* s = NewState(std::move(keys), std::move(base), delta);
+      live_count_.store(static_cast<int64_t>(s->base_keys->size()) +
+                            s->frozen.LiveAdjustTotal(),
+                        std::memory_order_relaxed);
+      version_.Publish(s);
+      worker_.Start([this] { return DoBackgroundMerge(); });
+    }
+
+    State* NewState(std::shared_ptr<const std::vector<key_type>> keys,
+                    std::shared_ptr<const Base> base,
+                    const DeltaEntries& delta) const {
+      return new State{
+          std::move(keys), std::move(base),
+          dynamic::DeltaBuffer<key_type>::FromSortedEntries(
+              std::span<const dynamic::DeltaEntry<key_type>>(delta), 2),
+          typename Log::Segment(config_.log_cap)};
     }
 
     // ---- read path ----
 
     size_t Lookup(const key_type& key) const {
-      Stripe().lookups.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return 0;
-      return RawLookupIn(*s, s->log_count.load(std::memory_order_acquire),
-                         key);
+      reads_.Stripe()[kLookups].fetch_add(1, std::memory_order_relaxed);
+      const auto s = version_.Pin();
+      return RawLookupIn(*s, s->log.published(), key);
     }
 
     index::Approx ApproxPos(const key_type& key) const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return index::Approx{};
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const size_t pos = RawLookupIn(*s, n, key);
-      return index::Approx::Exact(pos, LiveCountIn(*s, n));
+      const auto s = version_.Pin();
+      const std::span<const LogEntry> log = s->log.published();
+      return index::Approx::Exact(RawLookupIn(*s, log, key),
+                                  LiveCountIn(*s, log));
     }
 
     void LookupBatch(std::span<const key_type> keys,
                      std::span<size_t> out) const {
       const size_t m = std::min(keys.size(), out.size());
-      Stripe().lookups.fetch_add(m, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) {
-        for (size_t i = 0; i < m; ++i) out[i] = 0;
-        return;
-      }
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
+      reads_.Stripe()[kLookups].fetch_add(m, std::memory_order_relaxed);
+      const auto s = version_.Pin();
+      const std::span<const LogEntry> log = s->log.published();
       // Base ranks through the base's native batch path (the RMI software
       // pipeline), then the delta adjustment per key — with an empty
       // delta this runs at base batch throughput.
       index::LookupBatch(*s->base, keys, out);
-      if (s->frozen.empty() && n == 0) return;
-      const LogEntry* log = s->log.get();
+      if (s->frozen.empty() && log.empty()) return;
       for (size_t i = 0; i < m; ++i) {
         int64_t adj = s->frozen.RankAdjustBelow(keys[i]);
-        for (uint32_t j = 0; j < n; ++j) {
-          if (log[j].key < keys[i]) adj += log[j].net;
+        for (const LogEntry& e : log) {
+          if (e.key < keys[i]) adj += e.net;
         }
         out[i] = static_cast<size_t>(static_cast<int64_t>(out[i]) + adj);
       }
     }
 
     bool Contains(const key_type& key) const {
-      ReadStripe& st = Stripe();
-      st.lookups.fetch_add(1, std::memory_order_relaxed);
-      st.contains.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return false;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const LogEntry* log = s->log.get();
-      for (uint32_t i = n; i-- > 0;) {  // newest write wins
+      std::atomic<uint64_t>* st = reads_.Stripe();
+      st[kLookups].fetch_add(1, std::memory_order_relaxed);
+      st[kContains].fetch_add(1, std::memory_order_relaxed);
+      const auto s = version_.Pin();
+      const std::span<const LogEntry> log = s->log.published();
+      for (size_t i = log.size(); i-- > 0;) {  // newest write wins
         if (log[i].key == key) {
-          st.delta_hits.fetch_add(1, std::memory_order_relaxed);
+          st[kDeltaHits].fetch_add(1, std::memory_order_relaxed);
           return !log[i].tombstone;
         }
       }
       if (const auto e = s->frozen.Find(key)) {
-        st.delta_hits.fetch_add(1, std::memory_order_relaxed);
+        st[kDeltaHits].fetch_add(1, std::memory_order_relaxed);
         return !e->tombstone;
       }
       return BaseContainsIn(*s, key);
@@ -410,15 +370,12 @@ class ConcurrentWritableIndex {
     std::vector<key_type> Scan(const key_type& from, size_t limit) const {
       std::vector<key_type> out;
       if (limit == 0) return out;
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return out;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      const LogEntry* log = s->log.get();
+      const auto s = version_.Pin();
+      const std::span<const LogEntry> log = s->log.published();
       // Newest-wins, sorted view of the log entries with key >= from.
       std::vector<std::pair<key_type, uint32_t>> lv;
-      lv.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
+      lv.reserve(log.size());
+      for (uint32_t i = 0; i < log.size(); ++i) {
         if (!(log[i].key < from)) lv.emplace_back(log[i].key, i);
       }
       std::sort(lv.begin(), lv.end());
@@ -482,84 +439,39 @@ class ConcurrentWritableIndex {
     }
 
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return 0;
+      const auto s = version_.Pin();
       return s->base->SizeBytes() + s->frozen.SizeBytes() +
-             s->log_cap * sizeof(LogEntry);
+             s->log.capacity() * sizeof(LogEntry);
     }
 
     // ---- write path ----
 
     bool Write(const key_type& key, bool tombstone) {
-      std::unique_lock<std::mutex> lk(write_mu_, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        writer_contended_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
+      std::unique_lock<std::mutex> lk = log_.Lock();
       // Log-then-apply: the WAL append happens under the writer mutex
       // before the in-memory log-entry publish, so WAL order == LSN
       // order == acknowledgement order, and a crash after the append
       // but before the publish at worst replays a write the caller was
       // never acked for (safe: replay goes through this same path).
       WalAppendLocked(key, tombstone);
-      State* s = state_.load(std::memory_order_relaxed);
-      uint32_t n = s->log_count.load(std::memory_order_relaxed);
-      if (n == s->log_cap) {
-        s = FreezeLocked(s, n);
-        n = 0;
-      }
-      const bool live_before = LiveLocked(*s, n, key);
-      LogEntry& e = s->log[n];
-      e.key = key;
-      e.tombstone = tombstone;
-      e.live_before = live_before;
-      e.net = static_cast<int8_t>((tombstone ? 0 : 1) - (live_before ? 1 : 0));
-      s->log_count.store(n + 1, std::memory_order_release);
-      live_count_.fetch_add(e.net, std::memory_order_relaxed);
+      State* s = version_.current();
+      if (s->log.full_locked()) s = FreezeLocked(*s);
+      const uint32_t n = s->log.size_locked();
+      const bool live_before = LiveLocked(*s, key);
+      const auto net =
+          static_cast<int8_t>((tombstone ? 0 : 1) - (live_before ? 1 : 0));
+      s->log.Append(LogEntry{key, net, tombstone, live_before});
+      live_count_.fetch_add(net, std::memory_order_relaxed);
       (tombstone ? erases_ : inserts_).fetch_add(1, std::memory_order_relaxed);
       ++writes_since_merge_;
       const size_t delta_entries = s->frozen.entry_count() + n + 1;
       if (dynamic::ShouldMerge(config_.policy, delta_entries,
                                s->base_keys->size(), writes_since_merge_,
                                ReadsSinceMerge())) {
-        RequestMerge();
+        worker_.Request();
       }
-      const bool changed = tombstone ? live_before : !live_before;
-      DrainDeferredFrees(lk);  // heavy frees happen outside the lock
-      return changed;
-    }
-
-    // ---- merge control ----
-
-    void RequestMerge() {
-      {
-        std::lock_guard<std::mutex> lk(merge_mu_);
-        merge_requested_ = true;
-      }
-      merge_cv_.notify_one();
-    }
-
-    Status Merge() {
-      std::unique_lock<std::mutex> lk(merge_mu_);
-      merge_requested_ = true;
-      merge_cv_.notify_one();
-      const uint64_t start = merge_cycles_;
-      merge_done_cv_.wait(lk, [&] {
-        return merge_cycles_ > start && !merge_requested_ && !merge_running_;
-      });
-      return last_merge_status_;
-    }
-
-    void WaitForMerges() {
-      std::unique_lock<std::mutex> lk(merge_mu_);
-      merge_done_cv_.wait(lk,
-                          [&] { return !merge_requested_ && !merge_running_; });
-    }
-
-    Status last_merge_status() const {
-      std::lock_guard<std::mutex> lk(merge_mu_);
-      return last_merge_status_;
+      version_.DrainDeferred(lk);  // heavy frees happen outside the lock
+      return tombstone ? live_before : !live_before;
     }
 
     // ---- persistence ----
@@ -576,21 +488,16 @@ class ConcurrentWritableIndex {
         // fold only; readers are undisturbed.
         std::shared_ptr<const std::vector<key_type>> keys;
         std::shared_ptr<const Base> base;
-        std::vector<dynamic::DeltaEntry<key_type>> folded;
+        DeltaEntries folded;
         SnapshotCfg cfg;
         wal::WalSnapshotMeta wal_meta;
         bool durable = false;
         {
-          std::lock_guard<std::mutex> lk(write_mu_);
-          const State* s = state_.load(std::memory_order_relaxed);
-          if (s == nullptr) {
-            return Status::FailedPrecondition(
-                "ConcurrentWritableIndex: not built");
-          }
-          const uint32_t n = s->log_count.load(std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lk(log_.mutex());
+          const State* s = version_.current();
           // Redundancy drop is legal here regardless of a pending rebase:
           // the snapshot pairs the fold with this *same* captured base.
-          folded = FoldedEntries(*s, n, /*drop_redundant=*/true);
+          folded = FoldedEntries(*s, /*drop_redundant=*/true);
           keys = s->base_keys;
           base = s->base;
           cfg.policy = config_.policy;
@@ -662,7 +569,7 @@ class ConcurrentWritableIndex {
         auto base = std::make_shared<Base>();
         LI_RETURN_IF_ERROR(base->LoadSections(
             reader, prefix + "base/", std::span<const key_type>(*bk)));
-        std::vector<dynamic::DeltaEntry<key_type>> entries;
+        DeltaEntries entries;
         entries.reserve(dkeys.value().size());
         for (size_t i = 0; i < dkeys.value().size(); ++i) {
           const uint8_t m = dmeta.value()[i];
@@ -691,18 +598,7 @@ class ConcurrentWritableIndex {
                       }) {
           config_.base = base->config();
         }
-        State* s = new State;
-        s->base_keys = std::move(bk);
-        s->base = std::move(base);
-        s->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
-            std::span<const dynamic::DeltaEntry<key_type>>(entries), 2);
-        s->log = std::make_unique<LogEntry[]>(config_.log_cap);
-        s->log_cap = config_.log_cap;
-        const int64_t live = static_cast<int64_t>(s->base_keys->size()) +
-                             s->frozen.LiveAdjustTotal();
-        state_.store(s, std::memory_order_seq_cst);
-        live_count_.store(live, std::memory_order_relaxed);
-        worker_ = std::thread([this] { WorkerLoop(); });
+        Start(std::move(bk), std::move(base), entries);
         return Status::OK();
       }
     }
@@ -714,7 +610,7 @@ class ConcurrentWritableIndex {
         return Status::Unimplemented(
             "ConcurrentWritableIndex durability needs a flat key type");
       } else {
-        std::lock_guard<std::mutex> lk(write_mu_);
+        std::lock_guard<std::mutex> lk(log_.mutex());
         if (wal_ != nullptr) {
           return Status::FailedPrecondition("durability already enabled");
         }
@@ -733,7 +629,7 @@ class ConcurrentWritableIndex {
             "ConcurrentWritableIndex durability needs a flat key type");
       } else {
         {
-          std::lock_guard<std::mutex> lk(write_mu_);
+          std::lock_guard<std::mutex> lk(log_.mutex());
           if (wal_ != nullptr) {
             return Status::FailedPrecondition("durability already enabled");
           }
@@ -766,7 +662,7 @@ class ConcurrentWritableIndex {
         }
         auto w = wal::WalWriter::Open(cfg.path, cfg, nullptr);
         if (!w.ok()) return w.status();
-        std::lock_guard<std::mutex> lk(write_mu_);
+        std::lock_guard<std::mutex> lk(log_.mutex());
         wal_ = std::make_unique<wal::WalWriter>(w.take());
         wal_status_ = Status::OK();
         if (wal_->stats().last_lsn < covered) {
@@ -790,29 +686,29 @@ class ConcurrentWritableIndex {
     }
 
     Status TruncateWalAfterPublish() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
+      std::lock_guard<std::mutex> lk(log_.mutex());
       if (wal_ == nullptr) return Status::OK();
       // Under the writer mutex no append can race the rotation scan.
       return wal_->ResetTo(snapshot_covered_lsn_);
     }
 
     bool durable() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
+      std::lock_guard<std::mutex> lk(log_.mutex());
       return wal_ != nullptr;
     }
 
     Status wal_status() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
+      std::lock_guard<std::mutex> lk(log_.mutex());
       return wal_status_;
     }
 
     wal::WalStats DurabilityStats() const {
-      std::lock_guard<std::mutex> lk(write_mu_);
+      std::lock_guard<std::mutex> lk(log_.mutex());
       return wal_ != nullptr ? wal_->stats() : wal::WalStats{};
     }
 
     Status SyncWal() {
-      std::lock_guard<std::mutex> lk(write_mu_);
+      std::lock_guard<std::mutex> lk(log_.mutex());
       return wal_ != nullptr ? wal_->Sync() : Status::OK();
     }
 
@@ -825,57 +721,35 @@ class ConcurrentWritableIndex {
     index::ConcurrentIndexStats ConcurrentStats() const {
       index::ConcurrentIndexStats s =
           FillStats<index::ConcurrentIndexStats>();
-      s.freezes = freezes_.load(std::memory_order_relaxed);
+      version_.FillStats(s);
       s.background_merges = s.merges;
-      s.writer_contended = writer_contended_.load(std::memory_order_relaxed);
-      s.states_published = states_published_.load(std::memory_order_relaxed);
-      s.states_retired = epoch_.retired_count();
-      s.states_reclaimed = epoch_.reclaimed_count();
-      s.epoch_fallback_pins = epoch_.fallback_pins();
-      {
-        EpochManager::Guard g(epoch_);
-        const State* st = state_.load(std::memory_order_seq_cst);
-        s.log_entries =
-            st ? st->log_count.load(std::memory_order_acquire) : 0;
-      }
+      s.writer_contended = log_.contended();
+      s.log_entries = version_.Pin()->log.published().size();
       s.shards = 1;
       return s;
     }
 
     // ---- internals ----
 
-    ReadStripe& Stripe() const {
-      return read_stripes_[ThisThreadIndex() % kStripes];
-    }
-
-    uint64_t ReadTotal() const {
-      uint64_t t = 0;
-      for (const ReadStripe& s : read_stripes_) {
-        t += s.lookups.load(std::memory_order_relaxed);
-      }
-      return t;
-    }
-
     uint64_t ReadsSinceMerge() const {
-      return ReadTotal() - reads_baseline_.load(std::memory_order_relaxed);
+      return reads_.Sum(kLookups) -
+             reads_baseline_.load(std::memory_order_relaxed);
     }
 
-    size_t RawLookupIn(const State& s, uint32_t n,
+    size_t RawLookupIn(const State& s, std::span<const LogEntry> log,
                        const key_type& key) const {
       int64_t rank = static_cast<int64_t>(s.base->Lookup(key)) +
                      s.frozen.RankAdjustBelow(key);
-      const LogEntry* log = s.log.get();
-      for (uint32_t i = 0; i < n; ++i) {
-        if (log[i].key < key) rank += log[i].net;
+      for (const LogEntry& e : log) {
+        if (e.key < key) rank += e.net;
       }
       return rank > 0 ? static_cast<size_t>(rank) : 0;
     }
 
-    size_t LiveCountIn(const State& s, uint32_t n) const {
+    size_t LiveCountIn(const State& s, std::span<const LogEntry> log) const {
       int64_t c = static_cast<int64_t>(s.base_keys->size()) +
                   s.frozen.LiveAdjustTotal();
-      const LogEntry* log = s.log.get();
-      for (uint32_t i = 0; i < n; ++i) c += log[i].net;
+      for (const LogEntry& e : log) c += e.net;
       return c > 0 ? static_cast<size_t>(c) : 0;
     }
 
@@ -886,62 +760,40 @@ class ConcurrentWritableIndex {
 
     /// Liveness of `key` under the writer mutex (no guard needed: only
     /// writers swap state, and we hold the writer mutex).
-    bool LiveLocked(const State& s, uint32_t n, const key_type& key) const {
-      const LogEntry* log = s.log.get();
-      for (uint32_t i = n; i-- > 0;) {
+    bool LiveLocked(const State& s, const key_type& key) const {
+      const std::span<const LogEntry> log = s.log.locked();
+      for (size_t i = log.size(); i-- > 0;) {
         if (log[i].key == key) return !log[i].tombstone;
       }
       if (const auto e = s.frozen.Find(key)) return !e->tombstone;
       return BaseContainsIn(s, key);
     }
 
-    /// Newest-wins fold of `s.frozen` + `s.log[0..n)` into one sorted
-    /// entry list, `in_base` still relative to s's base. With
-    /// `drop_redundant`, entries whose final state matches the base
-    /// (re-insert of a base key, erase of an absent key) are dropped —
-    /// valid only when the result is paired with the *same* base.
-    std::vector<dynamic::DeltaEntry<key_type>> FoldedEntries(
-        const State& s, uint32_t n, bool drop_redundant) const {
-      const LogEntry* log = s.log.get();
-      std::vector<uint32_t> order(n);
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        if (log[a].key < log[b].key) return true;
-        if (log[b].key < log[a].key) return false;
-        return a < b;
-      });
-      std::vector<dynamic::DeltaEntry<key_type>> out;
-      out.reserve(s.frozen.entry_count() + n);
-      size_t oi = 0;
-      auto emit_group = [&](const dynamic::DeltaEntry<key_type>* shadowed) {
-        const key_type& k = log[order[oi]].key;
-        const LogEntry& first = log[order[oi]];
-        size_t gend = oi;
-        while (gend < order.size() && log[order[gend]].key == k) ++gend;
-        const LogEntry& last = log[order[gend - 1]];
-        // in_base: the shadowed frozen entry knows it; otherwise the first
-        // log write's prior liveness *is* base membership (no frozen or
-        // log predecessor existed).
-        const bool in_base =
-            shadowed != nullptr ? shadowed->in_base : first.live_before;
-        if (!drop_redundant || last.tombstone == in_base) {
-          out.push_back(
-              dynamic::DeltaEntry<key_type>{k, last.tombstone, in_base});
-        }
-        oi = gend;
-      };
-      s.frozen.VisitAll([&](const dynamic::DeltaEntry<key_type>& fe) {
-        while (oi < order.size() && log[order[oi]].key < fe.key) {
-          emit_group(nullptr);
-        }
-        if (oi < order.size() && log[order[oi]].key == fe.key) {
-          emit_group(&fe);
-        } else {
-          out.push_back(fe);
-        }
-        return true;
-      });
-      while (oi < order.size()) emit_group(nullptr);
+    /// Newest-wins fold of `s.frozen` + the whole log (writer mutex held)
+    /// into one sorted entry list, `in_base` still relative to s's base.
+    /// With `drop_redundant`, log-written entries whose final state matches
+    /// the base (re-insert of a base key, erase of an absent key) are
+    /// dropped — valid only when the result is paired with the *same*
+    /// base.
+    DeltaEntries FoldedEntries(const State& s, bool drop_redundant) const {
+      DeltaEntries out;
+      out.reserve(s.frozen.entry_count() + s.log.size_locked());
+      s.log.Fold(
+          s.frozen, [](const auto& e) -> const key_type& { return e.key; },
+          [&](const dynamic::DeltaEntry<key_type>* f, const LogEntry* first,
+              const LogEntry* last) {
+            if (last == nullptr) {
+              out.push_back(*f);
+              return;
+            }
+            // in_base: the shadowed frozen entry knows it; otherwise the
+            // first log write's prior liveness *is* base membership (no
+            // frozen or log predecessor existed).
+            const bool in_base = f != nullptr ? f->in_base : first->live_before;
+            if (!drop_redundant || last->tombstone == in_base) {
+              out.push_back({last->key, last->tombstone, in_base});
+            }
+          });
       return out;
     }
 
@@ -957,42 +809,11 @@ class ConcurrentWritableIndex {
     /// base right now. With a rebase pending, every entry is kept
     /// (contribution-0 entries are semantically inert) and the publish
     /// step filters against the new base instead.
-    State* FreezeLocked(State* s, uint32_t n) {
-      auto folded =
-          FoldedEntries(*s, n, /*drop_redundant=*/!merge_rebase_pending_);
-      State* ns = new State;
-      ns->base_keys = s->base_keys;
-      ns->base = s->base;
-      ns->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
-          std::span<const dynamic::DeltaEntry<key_type>>(folded), 2);
-      ns->log = std::make_unique<LogEntry[]>(config_.log_cap);
-      ns->log_cap = config_.log_cap;
-      PublishLocked(ns, s);
-      freezes_.fetch_add(1, std::memory_order_relaxed);
+    State* FreezeLocked(const State& s) {
+      State* ns = NewState(s.base_keys, s.base,
+                           FoldedEntries(s, !merge_rebase_pending_));
+      version_.PublishFreeze(ns);
       return ns;
-    }
-
-    /// Swaps the version in and retires the old one. Reclaimable
-    /// versions are only *collected* here (we hold the writer mutex);
-    /// their destructors — the old base's key array and model tables —
-    /// run in DrainDeferredFrees after the caller unlocks, so no writer
-    /// ever pays a multi-megabyte free inside the lock.
-    void PublishLocked(State* fresh, State* old) {
-      state_.store(fresh, std::memory_order_seq_cst);
-      states_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-      epoch_.ReclaimTo(deferred_free_);
-    }
-
-    /// Runs deferred version destructions outside the writer mutex.
-    /// `lk` must be the caller's held writer lock; released before the
-    /// deleters run (callers are done with shared state by then).
-    void DrainDeferredFrees(std::unique_lock<std::mutex>& lk) {
-      if (deferred_free_.empty()) return;
-      std::vector<EpochManager::Retired> batch;
-      batch.swap(deferred_free_);
-      lk.unlock();
-      EpochManager::Free(batch);
     }
 
     /// One background merge cycle (the worker's body).
@@ -1003,12 +824,11 @@ class ConcurrentWritableIndex {
       {
         // Phase 1 — rotate: fold any pending log so the delta to merge is
         // an immutable snapshot, then copy it out (O(delta), brief).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        if (n > 0) s = FreezeLocked(s, n);
+        std::unique_lock<std::mutex> lk(log_.mutex());
+        State* s = version_.current();
+        if (s->log.size_locked() > 0) s = FreezeLocked(*s);
         if (s->frozen.empty()) {
-          DrainDeferredFrees(lk);
+          version_.DrainDeferred(lk);
           return Status::OK();
         }
         frozen_copy = s->frozen;
@@ -1017,7 +837,7 @@ class ConcurrentWritableIndex {
         // the snapshot just taken is being baked into the next base, so
         // "redundant vs the old base" no longer implies droppable.
         merge_rebase_pending_ = true;
-        DrainDeferredFrees(lk);
+        version_.DrainDeferred(lk);
       }
       // Phase 2 — build off to the side: no locks, readers undisturbed.
       auto merged = std::make_shared<std::vector<key_type>>(
@@ -1027,42 +847,31 @@ class ConcurrentWritableIndex {
       if (const Status st = new_base->Build(
               std::span<const key_type>(*merged), config_.base);
           !st.ok()) {
-        std::lock_guard<std::mutex> lk(write_mu_);
+        std::lock_guard<std::mutex> lk(log_.mutex());
         merge_rebase_pending_ = false;  // old base stays; drops legal again
         return st;
       }
       {
         // Phase 3 — publish: rebase the delta that accumulated during the
         // build onto the new base, swap the version in, retire the old.
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        auto folded = FoldedEntries(*s, n, /*drop_redundant=*/false);
-        std::vector<dynamic::DeltaEntry<key_type>> rebased;
-        rebased.reserve(folded.size());
-        for (const dynamic::DeltaEntry<key_type>& e : folded) {
+        std::unique_lock<std::mutex> lk(log_.mutex());
+        DeltaEntries rebased;
+        for (const dynamic::DeltaEntry<key_type>& e :
+             FoldedEntries(*version_.current(), /*drop_redundant=*/false)) {
           const bool in_nb =
               std::binary_search(merged->begin(), merged->end(), e.key);
           // Keep only entries the new base does not already reflect.
           if (e.tombstone == in_nb) {
-            rebased.push_back(
-                dynamic::DeltaEntry<key_type>{e.key, e.tombstone, in_nb});
+            rebased.push_back({e.key, e.tombstone, in_nb});
           }
         }
-        State* ns = new State;
-        ns->base_keys = merged;
-        ns->base = std::move(new_base);
-        ns->frozen = dynamic::DeltaBuffer<key_type>::FromSortedEntries(
-            std::span<const dynamic::DeltaEntry<key_type>>(rebased), 2);
-        ns->log = std::make_unique<LogEntry[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
-        PublishLocked(ns, s);
+        version_.Publish(NewState(merged, std::move(new_base), rebased));
         merge_rebase_pending_ = false;
         merges_.fetch_add(1, std::memory_order_relaxed);
         merged_keys_.fetch_add(merged->size(), std::memory_order_relaxed);
         writes_since_merge_ = 0;
-        reads_baseline_.store(ReadTotal(), std::memory_order_relaxed);
-        DrainDeferredFrees(lk);
+        reads_baseline_.store(reads_.Sum(kLookups), std::memory_order_relaxed);
+        version_.DrainDeferred(lk);
       }
       const uint64_t ns_elapsed = static_cast<uint64_t>(timer.ElapsedNanos());
       last_merge_ns_.store(ns_elapsed, std::memory_order_relaxed);
@@ -1070,35 +879,12 @@ class ConcurrentWritableIndex {
       return Status::OK();
     }
 
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(merge_mu_);
-      for (;;) {
-        merge_cv_.wait(lk, [&] { return merge_requested_ || shutdown_; });
-        if (shutdown_) return;  // pending work is dropped; delta stays valid
-        merge_requested_ = false;
-        merge_running_ = true;
-        lk.unlock();
-        const Status st = DoBackgroundMerge();
-        lk.lock();
-        merge_running_ = false;
-        last_merge_status_ = st;
-        ++merge_cycles_;
-        merge_done_cv_.notify_all();
-      }
-    }
-
     template <typename S>
     S FillStats() const {
       S s{};
-      uint64_t lookups = 0, contains = 0, hits = 0;
-      for (const ReadStripe& r : read_stripes_) {
-        lookups += r.lookups.load(std::memory_order_relaxed);
-        contains += r.contains.load(std::memory_order_relaxed);
-        hits += r.delta_hits.load(std::memory_order_relaxed);
-      }
-      s.lookups = lookups;
-      s.contains = contains;
-      s.delta_hits = hits;
+      s.lookups = reads_.Sum(kLookups);
+      s.contains = reads_.Sum(kContains);
+      s.delta_hits = reads_.Sum(kDeltaHits);
       s.inserts = inserts_.load(std::memory_order_relaxed);
       s.erases = erases_.load(std::memory_order_relaxed);
       s.merges = merges_.load(std::memory_order_relaxed);
@@ -1107,51 +893,29 @@ class ConcurrentWritableIndex {
           static_cast<double>(last_merge_ns_.load(std::memory_order_relaxed));
       s.total_merge_ns = static_cast<double>(
           total_merge_ns_.load(std::memory_order_relaxed));
-      {
-        EpochManager::Guard g(epoch_);
-        const State* st = state_.load(std::memory_order_seq_cst);
-        if (st != nullptr) {
-          const uint32_t n = st->log_count.load(std::memory_order_acquire);
-          s.delta_entries = st->frozen.entry_count() + n;
-          s.delta_bytes =
-              st->frozen.SizeBytes() + st->log_cap * sizeof(LogEntry);
-          s.base_keys = st->base_keys->size();
-        }
-      }
+      const auto st = version_.Pin();
+      s.delta_entries =
+          st->frozen.entry_count() + st->log.published().size();
+      s.delta_bytes =
+          st->frozen.SizeBytes() + st->log.capacity() * sizeof(LogEntry);
+      s.base_keys = st->base_keys->size();
       return s;
     }
 
     Config config_{};
-    std::atomic<State*> state_{nullptr};
-    // mutable: the const WriteSections capture quiesces writers on it.
-    mutable std::mutex write_mu_;
-    mutable EpochManager epoch_;
+    // The writer mutex also guards the durability state below; the const
+    // WriteSections capture quiesces writers on it.
+    Log log_;
+    Versioned<State> version_;
     std::atomic<int64_t> live_count_{0};
-    // Reclaimed-but-not-freed versions (mutated under write_mu_ only;
-    // drained outside it).
-    std::vector<EpochManager::Retired> deferred_free_;
-
-    // Merge worker machinery.
-    std::thread worker_;
-    mutable std::mutex merge_mu_;
-    std::condition_variable merge_cv_;
-    std::condition_variable merge_done_cv_;
-    bool merge_requested_ = false;
-    bool merge_running_ = false;
-    bool shutdown_ = false;
-    uint64_t merge_cycles_ = 0;
-    Status last_merge_status_{};
 
     // Counters. Read stripes keep reader increments off one shared line.
-    mutable ReadStripe read_stripes_[kStripes];
+    ReadCounters<kNumReads> reads_;
     std::atomic<uint64_t> reads_baseline_{0};
     std::atomic<uint64_t> inserts_{0};
     std::atomic<uint64_t> erases_{0};
     std::atomic<uint64_t> merges_{0};
     std::atomic<uint64_t> merged_keys_{0};
-    std::atomic<uint64_t> freezes_{0};
-    std::atomic<uint64_t> writer_contended_{0};
-    std::atomic<uint64_t> states_published_{0};
     std::atomic<uint64_t> last_merge_ns_{0};
     std::atomic<uint64_t> total_merge_ns_{0};
     uint64_t writes_since_merge_ = 0;  // writer-mutex holders only
@@ -1159,12 +923,15 @@ class ConcurrentWritableIndex {
     // only): freeze folds must not drop entries then — see FreezeLocked.
     bool merge_rebase_pending_ = false;
 
-    // Durability (guarded by write_mu_; mutable because the const
+    // Durability (guarded by the writer mutex; mutable because the const
     // snapshot path stashes the covered LSN and truncates after publish).
     mutable std::unique_ptr<wal::WalWriter> wal_;
     Status wal_status_{};
     uint64_t covered_lsn_ = 0;  // watermark inherited from OpenSnapshot
     mutable uint64_t snapshot_covered_lsn_ = 0;
+
+    // Last: joined before anything the merge body touches is destroyed.
+    BackgroundWorker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

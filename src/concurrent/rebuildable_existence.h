@@ -5,38 +5,26 @@
 //
 // A static filter cannot admit new keys (a learned Bloom in particular
 // must re-calibrate its threshold), so inserts land in an *exact* side
-// set layered over the published filter:
-//
-//   State = { filter                      (covers `corpus`, immutable)
-//           , corpus                      (sorted keys the filter was
-//                                          built over; the rebuild input)
-//           , pending                     (sorted keys mid-fold: handed
-//                                          to an in-flight rebuild, still
-//                                          answered exactly)
-//           , frozen side set             (sorted inserted keys)
-//           , write log                   (append-only, bounded) }
-//
-// MightContain answers log -> frozen -> pending -> filter under an epoch
-// pin, lock-free; because every side structure is exact, the §5
-// no-false-negative guarantee extends to inserted keys the moment Insert
-// returns. Writers serialize on one mutex, append to the log, publish the
-// count with a release store, and fold a full log into the frozen set as
-// a fresh version (epoch retire/reclaim, same protocol as every
-// concurrent class).
-//
-// When the side set outgrows `staleness` (side/corpus ratio), a
-// background worker rebuilds the filter:
-//   1. rotate: fold the log, move frozen -> pending, snapshot corpus +
-//      pending (brief writer lock);
-//   2. build: corpus' = corpus ∪ pending, run the caller-supplied
-//      `Rebuilder` over corpus' off to the side — for a learned filter
-//      this is where the threshold re-calibrates and the overflow Bloom
-//      re-forms;
-//   3. publish: new version {filter', corpus', pending = ∅} keeping
-//      whatever the side set accumulated during the build; retire the
-//      old version. On failure pending folds back into frozen and the
-//      old filter keeps serving (exactness is never at risk — only
-//      memory growth), surfacing through last_rebuild_status().
+// set layered over the published filter. The version lifecycle and the
+// background worker are the shared ones of versioned.h and
+// background_worker.h. What this wrapper supplies:
+//   * versions { filter (covers `corpus`), corpus (sorted keys the filter
+//     was built over; the rebuild input), pending (sorted keys handed to
+//     an in-flight rebuild, still answered exactly), frozen side set
+//     (sorted inserted keys), write log };
+//   * the read fold: log -> frozen -> pending -> filter. Every side
+//     structure is exact, so the §5 no-false-negative guarantee extends to
+//     inserted keys the moment Insert returns;
+//   * the rebuild body: the rotation moves frozen -> pending; the build
+//     runs the caller-supplied `Rebuilder` over corpus ∪ pending (for a
+//     learned filter this is where the threshold re-calibrates and the
+//     overflow Bloom re-forms); the publish installs {filter', corpus',
+//     pending = ∅}, keeping whatever the side set gained during the
+//     build. On failure pending folds back into frozen and the old filter
+//     keeps serving (exactness is never at risk — only memory growth),
+//     surfacing through last_rebuild_status();
+//   * the trigger: the side set outgrowing `staleness` (side/corpus
+//     ratio).
 //
 // The Rebuilder is a plain std::function so the LIF synthesizer can hand
 // in closures owning a classifier (the OwnedLearnedBloom pattern);
@@ -47,7 +35,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -56,14 +43,14 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
 #include "common/status.h"
 #include "common/timer.h"
-#include "concurrent/epoch.h"
+#include "concurrent/background_worker.h"
+#include "concurrent/versioned.h"
 #include "index/concurrent_existence_index.h"
 #include "index/concurrent_writable_index.h"
 #include "index/existence_index.h"
@@ -138,18 +125,18 @@ class RebuildableExistence {
   // ---- rebuild control ----
 
   Status Rebuild() {
-    return impl_ ? impl_->Rebuild()
+    return impl_ ? impl_->worker_.RunSync()
                  : Status::FailedPrecondition(
                        "RebuildableExistence: not built");
   }
   void RequestRebuild() {
-    if (impl_ != nullptr) impl_->RequestRebuild();
+    if (impl_ != nullptr) impl_->worker_.Request();
   }
   void WaitForRebuilds() {
-    if (impl_ != nullptr) impl_->WaitForRebuilds();
+    if (impl_ != nullptr) impl_->worker_.WaitIdle();
   }
   Status last_rebuild_status() const {
-    return impl_ ? impl_->last_rebuild_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   const Config& config() const {
@@ -158,34 +145,21 @@ class RebuildableExistence {
   }
 
  private:
+  using Keys = std::vector<std::string>;
+  using Log = WriteLog<std::string>;
+
+  /// One published version; only its log's unpublished tail changes.
   struct State {
-    std::shared_ptr<const Base> filter;  // covers *corpus, no more
-    std::shared_ptr<const std::vector<std::string>> corpus;   // sorted
-    std::shared_ptr<const std::vector<std::string>> pending;  // sorted
-    std::vector<std::string> frozen;                          // sorted
-    std::unique_ptr<std::string[]> log;
-    size_t log_cap = 0;
-    std::atomic<uint32_t> log_count{0};
+    std::shared_ptr<const Base> filter;   // covers *corpus, no more
+    std::shared_ptr<const Keys> corpus;   // sorted
+    std::shared_ptr<const Keys> pending;  // sorted, or null
+    Keys frozen;                          // sorted
+    typename Log::Segment log;
   };
 
-  struct alignas(64) ReadStripe {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> side_hits{0};
-  };
-  static constexpr size_t kStripes = 16;
+  enum ReadCounter : size_t { kLookups, kSideHits, kNumReads };
 
   struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        shutdown_ = true;
-      }
-      rebuild_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete state_.load(std::memory_order_relaxed);
-      EpochManager::Free(deferred_free_);
-    }
-
     Status Build(std::span<const std::string> keys, const Config& config) {
       if (!config.rebuild) {
         return Status::InvalidArgument(
@@ -193,8 +167,7 @@ class RebuildableExistence {
       }
       config_ = config;
       config_.log_cap = std::max<size_t>(config.log_cap, 2);
-      auto corpus = std::make_shared<std::vector<std::string>>(keys.begin(),
-                                                               keys.end());
+      auto corpus = std::make_shared<Keys>(keys.begin(), keys.end());
       std::sort(corpus->begin(), corpus->end());
       corpus->erase(std::unique(corpus->begin(), corpus->end()),
                     corpus->end());
@@ -205,34 +178,35 @@ class RebuildableExistence {
       }
       key_count_.store(static_cast<int64_t>(corpus->size()),
                        std::memory_order_relaxed);
-      State* s = new State;
-      s->filter = std::move(filter);
-      s->corpus = std::move(corpus);
-      s->log = std::make_unique<std::string[]>(config_.log_cap);
-      s->log_cap = config_.log_cap;
-      state_.store(s, std::memory_order_seq_cst);
-      worker_ = std::thread([this] { WorkerLoop(); });
+      version_.Publish(
+          NewState(std::move(filter), std::move(corpus), nullptr, {}));
+      worker_.Start([this] { return DoBackgroundRebuild(); });
       return Status::OK();
+    }
+
+    State* NewState(std::shared_ptr<const Base> filter,
+                    std::shared_ptr<const Keys> corpus,
+                    std::shared_ptr<const Keys> pending, Keys frozen) const {
+      return new State{std::move(filter), std::move(corpus),
+                       std::move(pending), std::move(frozen),
+                       typename Log::Segment(config_.log_cap)};
     }
 
     // ---- read path ----
 
     bool MightContain(std::string_view key) const {
-      ReadStripe& stripe = Stripe();
-      stripe.lookups.fetch_add(1, std::memory_order_relaxed);
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return false;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
-      for (uint32_t i = n; i-- > 0;) {
-        if (s->log[i] == key) {
-          stripe.side_hits.fetch_add(1, std::memory_order_relaxed);
+      std::atomic<uint64_t>* stripe = reads_.Stripe();
+      stripe[kLookups].fetch_add(1, std::memory_order_relaxed);
+      const auto s = version_.Pin();
+      for (const std::string& k : s->log.published()) {
+        if (k == key) {
+          stripe[kSideHits].fetch_add(1, std::memory_order_relaxed);
           return true;
         }
       }
       if (SortedContains(s->frozen, key) ||
           (s->pending != nullptr && SortedContains(*s->pending, key))) {
-        stripe.side_hits.fetch_add(1, std::memory_order_relaxed);
+        stripe[kSideHits].fetch_add(1, std::memory_order_relaxed);
         return true;
       }
       return s->filter->MightContain(key);
@@ -243,18 +217,15 @@ class RebuildableExistence {
       return n > 0 ? static_cast<size_t>(n) : 0;
     }
 
+    /// The filter plus the exact side structures (the ExistenceIndex
+    /// contract). The corpus is rebuild input, not filter state, and is
+    /// not counted.
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const State* s = state_.load(std::memory_order_seq_cst);
-      if (s == nullptr) return 0;
-      // The filter plus the exact side structures; the corpus is the
-      // rebuild input and part of what this structure owns, so it is
-      // counted too (stored byte size, computed once per publish).
-      size_t bytes = s->filter->SizeBytes() + corpus_bytes_;
-      const uint32_t n = s->log_count.load(std::memory_order_acquire);
+      const auto s = version_.Pin();
+      size_t bytes = s->filter->SizeBytes();
       for (const std::string& k : s->frozen) bytes += k.size();
-      for (uint32_t i = 0; i < n; ++i) bytes += s->log[i].size();
-      bytes += s->log_cap * sizeof(std::string);
+      for (const std::string& k : s->log.published()) bytes += k.size();
+      bytes += s->log.capacity() * sizeof(std::string);
       if (s->pending != nullptr) {
         for (const std::string& k : *s->pending) bytes += k.size();
       }
@@ -263,14 +234,9 @@ class RebuildableExistence {
 
     index::ConcurrentIndexStats ConcurrentStats() const {
       index::ConcurrentIndexStats cs;
-      uint64_t lookups = 0, hits = 0;
-      for (const ReadStripe& r : read_stripes_) {
-        lookups += r.lookups.load(std::memory_order_relaxed);
-        hits += r.side_hits.load(std::memory_order_relaxed);
-      }
-      cs.lookups = lookups;
-      cs.contains = lookups;
-      cs.delta_hits = hits;
+      cs.lookups = reads_.Sum(kLookups);
+      cs.contains = cs.lookups;
+      cs.delta_hits = reads_.Sum(kSideHits);
       cs.inserts = inserts_.load(std::memory_order_relaxed);
       cs.merges = rebuilds_.load(std::memory_order_relaxed);
       cs.background_merges = cs.merges;
@@ -279,25 +245,13 @@ class RebuildableExistence {
           last_rebuild_ns_.load(std::memory_order_relaxed));
       cs.total_merge_ns = static_cast<double>(
           total_rebuild_ns_.load(std::memory_order_relaxed));
-      cs.freezes = freezes_.load(std::memory_order_relaxed);
-      cs.writer_contended =
-          writer_contended_.load(std::memory_order_relaxed);
-      cs.states_published =
-          states_published_.load(std::memory_order_relaxed);
-      cs.states_retired = epoch_.retired_count();
-      cs.states_reclaimed = epoch_.reclaimed_count();
-      cs.epoch_fallback_pins = epoch_.fallback_pins();
-      {
-        EpochManager::Guard g(epoch_);
-        const State* s = state_.load(std::memory_order_seq_cst);
-        if (s != nullptr) {
-          const uint32_t n = s->log_count.load(std::memory_order_acquire);
-          cs.log_entries = n;
-          cs.delta_entries = s->frozen.size() + n +
-                             (s->pending != nullptr ? s->pending->size() : 0);
-          cs.base_keys = s->corpus->size();
-        }
-      }
+      version_.FillStats(cs);
+      cs.writer_contended = log_.contended();
+      const auto s = version_.Pin();
+      cs.log_entries = s->log.published().size();
+      cs.delta_entries = s->frozen.size() + cs.log_entries +
+                         (s->pending != nullptr ? s->pending->size() : 0);
+      cs.base_keys = s->corpus->size();
       cs.shards = 1;
       return cs;
     }
@@ -305,79 +259,32 @@ class RebuildableExistence {
     // ---- write path ----
 
     bool Insert(std::string_view key) {
-      std::unique_lock<std::mutex> lk(write_mu_, std::try_to_lock);
-      if (!lk.owns_lock()) {
-        writer_contended_.fetch_add(1, std::memory_order_relaxed);
-        lk.lock();
-      }
-      State* s = state_.load(std::memory_order_relaxed);
-      uint32_t n = s->log_count.load(std::memory_order_relaxed);
-      if (ExactMemberLocked(*s, n, key)) {
-        DrainDeferredFrees(lk);
+      std::unique_lock<std::mutex> lk = log_.Lock();
+      State* s = version_.current();
+      if (ExactMemberLocked(*s, key)) {
+        version_.DrainDeferred(lk);
         return false;
       }
-      if (n == s->log_cap) {
-        s = FreezeLocked(s, n);
-        n = 0;
-      }
-      s->log[n] = std::string(key);
-      s->log_count.store(n + 1, std::memory_order_release);
+      if (s->log.full_locked()) s = FreezeLocked(*s);
+      s->log.Append(std::string(key));
       key_count_.fetch_add(1, std::memory_order_relaxed);
       inserts_.fetch_add(1, std::memory_order_relaxed);
-      const size_t side = s->frozen.size() + n + 1 +
+      const size_t side = s->frozen.size() + s->log.size_locked() +
                           (s->pending != nullptr ? s->pending->size() : 0);
       if (config_.staleness > 0.0 && side >= config_.min_side_keys &&
           static_cast<double>(side) >=
               config_.staleness *
                   static_cast<double>(std::max<size_t>(s->corpus->size(),
                                                        1))) {
-        RequestRebuild();
+        worker_.Request();
       }
-      DrainDeferredFrees(lk);
+      version_.DrainDeferred(lk);
       return true;
-    }
-
-    // ---- rebuild control ----
-
-    void RequestRebuild() {
-      {
-        std::lock_guard<std::mutex> lk(rebuild_mu_);
-        rebuild_requested_ = true;
-      }
-      rebuild_cv_.notify_one();
-    }
-
-    Status Rebuild() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_requested_ = true;
-      rebuild_cv_.notify_one();
-      const uint64_t start = rebuild_cycles_;
-      rebuild_done_cv_.wait(lk, [&] {
-        return rebuild_cycles_ > start && !rebuild_requested_ &&
-               !rebuild_running_;
-      });
-      return last_rebuild_status_;
-    }
-
-    void WaitForRebuilds() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      rebuild_done_cv_.wait(
-          lk, [&] { return !rebuild_requested_ && !rebuild_running_; });
-    }
-
-    Status last_rebuild_status() const {
-      std::lock_guard<std::mutex> lk(rebuild_mu_);
-      return last_rebuild_status_;
     }
 
     // ---- internals ----
 
-    ReadStripe& Stripe() const {
-      return read_stripes_[ThisThreadIndex() % kStripes];
-    }
-
-    static bool SortedContains(const std::vector<std::string>& v,
-                               std::string_view key) {
+    static bool SortedContains(const Keys& v, std::string_view key) {
       const auto it = std::lower_bound(v.begin(), v.end(), key);
       return it != v.end() && *it == key;
     }
@@ -385,10 +292,9 @@ class RebuildableExistence {
     /// Exact membership under the writer mutex: corpus, pending, frozen
     /// and log are all exact sets, so Insert's return value and
     /// num_keys() count distinct keys, never filter positives.
-    bool ExactMemberLocked(const State& s, uint32_t n,
-                           std::string_view key) const {
-      for (uint32_t i = n; i-- > 0;) {
-        if (s.log[i] == key) return true;
+    bool ExactMemberLocked(const State& s, std::string_view key) const {
+      for (const std::string& k : s.log.locked()) {
+        if (k == key) return true;
       }
       if (SortedContains(s.frozen, key)) return true;
       if (s.pending != nullptr && SortedContains(*s.pending, key)) {
@@ -400,79 +306,53 @@ class RebuildableExistence {
     /// Folds the full write log into the frozen side set and publishes
     /// the result as a new version (same filter/corpus/pending). Caller
     /// holds the writer mutex. Returns the published version.
-    State* FreezeLocked(State* s, uint32_t n) {
-      State* ns = new State;
-      ns->filter = s->filter;
-      ns->corpus = s->corpus;
-      ns->pending = s->pending;
-      ns->frozen.reserve(s->frozen.size() + n);
-      ns->frozen.insert(ns->frozen.end(), s->frozen.begin(),
-                        s->frozen.end());
-      for (uint32_t i = 0; i < n; ++i) ns->frozen.push_back(s->log[i]);
-      std::sort(ns->frozen.begin(), ns->frozen.end());
-      ns->log = std::make_unique<std::string[]>(config_.log_cap);
-      ns->log_cap = config_.log_cap;
-      PublishLocked(ns, s);
-      freezes_.fetch_add(1, std::memory_order_relaxed);
+    State* FreezeLocked(const State& s) {
+      Keys frozen;
+      frozen.reserve(s.frozen.size() + s.log.size_locked());
+      s.log.Fold(s.frozen, std::identity{},
+                 [&](const std::string* f, const std::string*,
+                     const std::string* last) {
+                   frozen.push_back(last != nullptr ? *last : *f);
+                 });
+      State* ns = NewState(s.filter, s.corpus, s.pending, std::move(frozen));
+      version_.PublishFreeze(ns);
       return ns;
-    }
-
-    void PublishLocked(State* fresh, State* old) {
-      state_.store(fresh, std::memory_order_seq_cst);
-      states_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-      epoch_.ReclaimTo(deferred_free_);
-    }
-
-    void DrainDeferredFrees(std::unique_lock<std::mutex>& lk) {
-      if (deferred_free_.empty()) return;
-      std::vector<EpochManager::Retired> batch;
-      batch.swap(deferred_free_);
-      lk.unlock();
-      EpochManager::Free(batch);
     }
 
     /// One background rebuild cycle (the worker's body).
     Status DoBackgroundRebuild() {
       Timer timer;
-      std::shared_ptr<const std::vector<std::string>> corpus;
-      std::shared_ptr<const std::vector<std::string>> pending;
+      std::shared_ptr<const Keys> corpus;
+      std::shared_ptr<const Keys> pending;
       {
         // Phase 1 — rotate: fold the log, move frozen -> pending so the
         // set to bake in is an immutable snapshot readers keep answering
         // exactly (brief writer lock).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        if (n > 0) s = FreezeLocked(s, n);
+        std::unique_lock<std::mutex> lk(log_.mutex());
+        State* s = version_.current();
+        if (s->log.size_locked() > 0) s = FreezeLocked(*s);
         if (s->frozen.empty() && s->pending == nullptr) {
-          DrainDeferredFrees(lk);
+          version_.DrainDeferred(lk);
           return Status::OK();
         }
-        // Copy, never move: `s` stays published until PublishLocked and
+        // Copy, never move: `s` stays published until the swap and
         // readers scan s->frozen lock-free the whole time.
-        auto pend = std::make_shared<std::vector<std::string>>(s->frozen);
+        auto pend = std::make_shared<Keys>(s->frozen);
         if (s->pending != nullptr) {
           // A previous failed cycle left keys pending; fold them in.
           pend->insert(pend->end(), s->pending->begin(), s->pending->end());
           std::sort(pend->begin(), pend->end());
           pend->erase(std::unique(pend->begin(), pend->end()), pend->end());
         }
-        State* ns = new State;
-        ns->filter = s->filter;
-        ns->corpus = s->corpus;
-        ns->pending = pend;
-        ns->log = std::make_unique<std::string[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
-        PublishLocked(ns, s);
-        corpus = ns->corpus;
+        corpus = s->corpus;
         pending = pend;
-        DrainDeferredFrees(lk);
+        version_.Publish(NewState(s->filter, s->corpus, std::move(pend), {}));
+        version_.DrainDeferred(lk);
       }
       // Phase 2 — build off to the side: corpus' = corpus ∪ pending,
       // rebuild the filter over it. No locks held; model training and
       // threshold calibration happen here.
-      auto merged = std::make_shared<std::vector<std::string>>();
+      auto merged = std::make_shared<Keys>();
       merged->reserve(corpus->size() + pending->size());
       std::merge(corpus->begin(), corpus->end(), pending->begin(),
                  pending->end(), std::back_inserter(*merged));
@@ -487,40 +367,25 @@ class RebuildableExistence {
       {
         // Phase 3 — publish (or, on failure, fold pending back so the
         // next cycle retries; the old filter keeps serving either way).
-        std::unique_lock<std::mutex> lk(write_mu_);
-        State* s = state_.load(std::memory_order_relaxed);
-        State* ns = new State;
+        std::unique_lock<std::mutex> lk(log_.mutex());
+        const State* s = version_.current();
+        Keys frozen = s->frozen;  // copy: s stays published until the swap
+        State* ns;
         if (built.ok()) {
-          ns->filter = std::move(filter);
-          ns->corpus = merged;
-          ns->pending = nullptr;
-          ns->frozen = s->frozen;  // copy: s stays published until swap
+          merged_keys_.fetch_add(merged->size(), std::memory_order_relaxed);
+          rebuilds_.fetch_add(1, std::memory_order_relaxed);
+          ns = NewState(std::move(filter), std::move(merged), nullptr,
+                        std::move(frozen));
         } else {
-          ns->filter = s->filter;
-          ns->corpus = s->corpus;
-          ns->pending = nullptr;
-          ns->frozen = s->frozen;
-          ns->frozen.insert(ns->frozen.end(), pending->begin(),
-                            pending->end());
-          std::sort(ns->frozen.begin(), ns->frozen.end());
+          frozen.insert(frozen.end(), pending->begin(), pending->end());
+          std::sort(frozen.begin(), frozen.end());
+          ns = NewState(s->filter, s->corpus, nullptr, std::move(frozen));
         }
         // Keep the live log tail: readers of the new version must still
         // see the entries the old version's log holds.
-        const uint32_t n = s->log_count.load(std::memory_order_relaxed);
-        ns->log = std::make_unique<std::string[]>(config_.log_cap);
-        ns->log_cap = config_.log_cap;
-        for (uint32_t i = 0; i < n; ++i) ns->log[i] = s->log[i];
-        ns->log_count.store(n, std::memory_order_relaxed);
-        if (built.ok()) {
-          size_t bytes = 0;
-          for (const std::string& k : *merged) bytes += k.size();
-          bytes += merged->size() * sizeof(std::string);
-          corpus_bytes_ = bytes;
-          merged_keys_.fetch_add(merged->size(), std::memory_order_relaxed);
-          rebuilds_.fetch_add(1, std::memory_order_relaxed);
-        }
-        PublishLocked(ns, s);
-        DrainDeferredFrees(lk);
+        for (const std::string& k : s->log.locked()) ns->log.Append(k);
+        version_.Publish(ns);
+        version_.DrainDeferred(lk);
       }
       const uint64_t ns_elapsed =
           static_cast<uint64_t>(timer.ElapsedNanos());
@@ -529,55 +394,21 @@ class RebuildableExistence {
       return built;
     }
 
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(rebuild_mu_);
-      for (;;) {
-        rebuild_cv_.wait(lk, [&] { return rebuild_requested_ || shutdown_; });
-        if (shutdown_) return;
-        rebuild_requested_ = false;
-        rebuild_running_ = true;
-        lk.unlock();
-        const Status st = DoBackgroundRebuild();
-        lk.lock();
-        rebuild_running_ = false;
-        last_rebuild_status_ = st;
-        ++rebuild_cycles_;
-        rebuild_done_cv_.notify_all();
-      }
-    }
-
     Config config_{};
-    std::atomic<State*> state_{nullptr};
-    mutable std::mutex write_mu_;
-    mutable EpochManager epoch_;
+    Log log_;
+    Versioned<State> version_;
     std::atomic<int64_t> key_count_{0};
-    // Stored bytes of the current corpus (strings + array), recomputed at
-    // each successful publish; read under the epoch guard in SizeBytes.
-    // Writer-mutex holders only for writes.
-    std::atomic<size_t> corpus_bytes_{0};
-    std::vector<EpochManager::Retired> deferred_free_;
-
-    // Rebuild worker machinery.
-    std::thread worker_;
-    mutable std::mutex rebuild_mu_;
-    std::condition_variable rebuild_cv_;
-    std::condition_variable rebuild_done_cv_;
-    bool rebuild_requested_ = false;
-    bool rebuild_running_ = false;
-    bool shutdown_ = false;
-    uint64_t rebuild_cycles_ = 0;
-    Status last_rebuild_status_{};
 
     // Counters.
-    mutable ReadStripe read_stripes_[kStripes];
+    ReadCounters<kNumReads> reads_;
     std::atomic<uint64_t> inserts_{0};
     std::atomic<uint64_t> rebuilds_{0};
     std::atomic<uint64_t> merged_keys_{0};
-    std::atomic<uint64_t> freezes_{0};
-    std::atomic<uint64_t> writer_contended_{0};
-    std::atomic<uint64_t> states_published_{0};
     std::atomic<uint64_t> last_rebuild_ns_{0};
     std::atomic<uint64_t> total_rebuild_ns_{0};
+
+    // Last: joined before anything the rebuild body touches is destroyed.
+    BackgroundWorker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

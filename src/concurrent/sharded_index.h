@@ -17,11 +17,11 @@
 // skewed build set still yields equal-count shards).
 //
 // Boundaries are no longer fixed at Build: a background *rebalance
-// worker* (the same rotate/build/publish discipline as the merge worker
-// in concurrent_writable_index.h) splits overloaded shards and coalesces
+// worker* (BackgroundWorker, with the rotate/build/publish discipline of
+// the wrappers' rebuilds) splits overloaded shards and coalesces
 // undersized neighbors online, publishing each change as a new ShardMap
-// version and retiring the old one to the epoch manager — readers never
-// block on a rebalance. The shard lifecycle, the seal/catch-up/cutover
+// version through Versioned (versioned.h) — readers never block on a
+// rebalance. The shard lifecycle, the seal/catch-up/cutover
 // protocol and tuning guidance are documented in docs/SHARDING.md.
 //
 // The contract is the same ConcurrentWritableRangeIndex as the inner
@@ -42,7 +42,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -52,13 +51,13 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "concurrent/epoch.h"
+#include "concurrent/background_worker.h"
+#include "concurrent/versioned.h"
 #include "index/approx.h"
 #include "index/concurrent_writable_index.h"
 #include "index/durable_index.h"
@@ -285,7 +284,7 @@ class ShardedIndex {
 
   /// Outcome of the most recent rebalance cycle (OK before the first).
   Status last_rebalance_status() const {
-    return impl_ ? impl_->last_rebalance_status() : Status::OK();
+    return impl_ ? impl_->worker_.last_status() : Status::OK();
   }
 
   // ---- Durability (per-shard WAL routing; docs/DURABILITY.md) ----
@@ -482,32 +481,9 @@ class ShardedIndex {
   }
 
   struct Impl {
-    ~Impl() {
-      {
-        std::lock_guard<std::mutex> lk(rebalance_mu_);
-        shutdown_ = true;
-      }
-      rebalance_cv_.notify_all();
-      if (worker_.joinable()) worker_.join();
-      delete map_.load(std::memory_order_relaxed);
-      // epoch_ frees every retired map; slots die with their last map.
-    }
-
     Status Build(std::span<const key_type> keys, const Config& config) {
       config_ = config;
-      config_.rebalance.check_stride =
-          std::max<size_t>(config_.rebalance.check_stride, 1);
-      config_.rebalance.scan_chunk =
-          std::max<size_t>(config_.rebalance.scan_chunk, 2);
-      // Enforce the documented knob invariants: a factor at or below 1
-      // would split on any non-uniform mass (rebuild churn to the
-      // max_shards cap), and a coalesce threshold at or above factor/2
-      // would re-coalesce freshly split halves (oscillation).
-      config_.rebalance.max_imbalance =
-          std::max(config_.rebalance.max_imbalance, 1.1);
-      config_.rebalance.coalesce_fraction =
-          std::clamp(config_.rebalance.coalesce_fraction, 0.0,
-                     config_.rebalance.max_imbalance * 0.45);
+      ClampRebalanceKnobs();
       const size_t shards = std::max<size_t>(config.num_shards, 1);
       auto map = std::make_unique<ShardMap>();
       // CDF sample: every stride-th key (the keys are the CDF's inverse).
@@ -547,19 +523,50 @@ class ShardedIndex {
         map->slots.push_back(std::move(slot));
         begin = end;
       }
-      map_.store(map.release(), std::memory_order_seq_cst);
-      maps_published_.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (kRebalanceCapable) {
-        worker_ = std::thread([this] { WorkerLoop(); });
-      }
+      Start(std::move(map));
       return Status::OK();
+    }
+
+    /// Enforces the documented knob invariants (at Build, and again on
+    /// every reopen: a corrupt or hand-edited manifest must not re-enable
+    /// oscillation or div-by-zero). A factor at or below 1 would split on
+    /// any non-uniform mass (rebuild churn to the max_shards cap), and a
+    /// coalesce threshold at or above factor/2 would re-coalesce freshly
+    /// split halves (oscillation).
+    void ClampRebalanceKnobs() {
+      ShardRebalanceConfig& rc = config_.rebalance;
+      rc.check_stride = std::max<size_t>(rc.check_stride, 1);
+      rc.scan_chunk = std::max<size_t>(rc.scan_chunk, 2);
+      rc.max_imbalance = std::max(rc.max_imbalance, 1.1);
+      rc.coalesce_fraction =
+          std::clamp(rc.coalesce_fraction, 0.0, rc.max_imbalance * 0.45);
+    }
+
+    /// Publishes the first map and starts the rebalance worker.
+    void Start(std::unique_ptr<ShardMap> map) {
+      maps_.Publish(map.release());
+      if constexpr (kRebalanceCapable) {
+        worker_.Start([this] { return DoRebalance(); });
+      }
+    }
+
+    /// Start for a map reopened from disk: its shards carry the inner
+    /// config.
+    void Reopen(std::unique_ptr<ShardMap> map) {
+      if constexpr (requires(const Inner& i) {
+                      {
+                        i.config()
+                      } -> std::convertible_to<inner_config_type>;
+                    }) {
+        config_.inner = map->slots[0]->index.config();
+      }
+      Start(std::move(map));
     }
 
     // ---- read path ----
 
     size_t Lookup(const key_type& key) const {
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = maps_.Pin();
       const size_t s = ShardOf(*m, key);
       size_t rank = 0;
       for (size_t i = 0; i < s; ++i) rank += m->slots[i]->index.size();
@@ -567,8 +574,7 @@ class ShardedIndex {
     }
 
     index::Approx ApproxPos(const key_type& key) const {
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = maps_.Pin();
       const size_t s = ShardOf(*m, key);
       size_t rank = 0, total = 0;
       for (size_t i = 0; i < m->slots.size(); ++i) {
@@ -583,8 +589,7 @@ class ShardedIndex {
     void LookupBatch(std::span<const key_type> keys,
                      std::span<size_t> out) const {
       const size_t n = std::min(keys.size(), out.size());
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = maps_.Pin();
       const size_t shards = m->slots.size();
       if (shards == 1) {
         index::LookupBatch(m->slots[0]->index, keys.first(n), out.first(n));
@@ -640,16 +645,14 @@ class ShardedIndex {
     }
 
     bool Contains(const key_type& key) const {
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = maps_.Pin();
       return m->slots[ShardOf(*m, key)]->index.Contains(key);
     }
 
     std::vector<key_type> Scan(const key_type& from, size_t limit) const {
       std::vector<key_type> out;
       if (limit == 0) return out;
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = maps_.Pin();
       for (size_t s = ShardOf(*m, from); s < m->slots.size(); ++s) {
         std::vector<key_type> part =
             m->slots[s]->index.Scan(from, limit - out.size());
@@ -664,16 +667,14 @@ class ShardedIndex {
     }
 
     size_t size() const {
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = maps_.Pin();
       size_t n = 0;
       for (const auto& slot : m->slots) n += slot->index.size();
       return n;
     }
 
     size_t SizeBytes() const {
-      EpochManager::Guard g(epoch_);
-      const ShardMap* m = map_.load(std::memory_order_seq_cst);
+      const auto m = maps_.Pin();
       size_t n = m->boundaries.capacity() * sizeof(key_type);
       for (const auto& slot : m->slots) n += slot->index.SizeBytes();
       return n;
@@ -683,8 +684,7 @@ class ShardedIndex {
 
     bool Write(const key_type& key, bool tombstone) {
       for (;;) {
-        EpochManager::Guard g(epoch_);
-        const ShardMap* m = map_.load(std::memory_order_seq_cst);
+        const auto m = maps_.Pin();
         Slot* slot = m->slots[ShardOf(*m, key)].get();
         bool changed;
         {
@@ -753,27 +753,11 @@ class ShardedIndex {
     // ---- rebalance control ----
 
     void RequestRebalance() {
-      if constexpr (kRebalanceCapable) {
-        {
-          std::lock_guard<std::mutex> lk(rebalance_mu_);
-          rebalance_requested_ = true;
-        }
-        rebalance_cv_.notify_one();
-      }
+      if constexpr (kRebalanceCapable) worker_.Request();
     }
 
     void WaitForRebalances() {
-      if constexpr (kRebalanceCapable) {
-        std::unique_lock<std::mutex> lk(rebalance_mu_);
-        rebalance_done_cv_.wait(lk, [&] {
-          return !rebalance_requested_ && !rebalance_running_;
-        });
-      }
-    }
-
-    Status last_rebalance_status() const {
-      std::lock_guard<std::mutex> lk(rebalance_mu_);
-      return last_rebalance_status_;
+      if constexpr (kRebalanceCapable) worker_.WaitIdle();
     }
 
     // ---- durability ----
@@ -805,18 +789,11 @@ class ShardedIndex {
                                   "'): " + std::strerror(errno));
         }
         dur_cfg_ = cfg;
-        std::vector<key_type> boundaries;
-        std::vector<std::shared_ptr<Slot>> slots;
-        {
-          EpochManager::Guard g(epoch_);
-          const ShardMap* m = map_.load(std::memory_order_seq_cst);
-          boundaries = m->boundaries;
-          slots = m->slots;
-        }
-        for (const auto& slot : slots) {
+        const ShardMap map = *maps_.Pin();
+        for (const auto& slot : map.slots) {
           LI_RETURN_IF_ERROR(AttachShardDurability(*slot));
         }
-        LI_RETURN_IF_ERROR(WriteManifestLocked(boundaries, slots));
+        LI_RETURN_IF_ERROR(WriteManifestLocked(map.boundaries, map.slots));
         durable_.store(true, std::memory_order_release);
         return Status::OK();
       }
@@ -834,21 +811,14 @@ class ShardedIndex {
           return Status::FailedPrecondition(
               "ShardedIndex: durability not enabled");
         }
-        std::vector<key_type> boundaries;
-        std::vector<std::shared_ptr<Slot>> slots;
-        {
-          EpochManager::Guard g(epoch_);
-          const ShardMap* m = map_.load(std::memory_order_seq_cst);
-          boundaries = m->boundaries;
-          slots = m->slots;
-        }
-        for (const auto& slot : slots) {
+        const ShardMap map = *maps_.Pin();
+        for (const auto& slot : map.slots) {
           // Atomic per-shard publish (tmp + rename inside), then the
           // inner class truncates its own log behind the covered LSN.
           LI_RETURN_IF_ERROR(
               slot->index.WriteSnapshot(ShardSnapPath(slot->uid)));
         }
-        return WriteManifestLocked(boundaries, slots);
+        return WriteManifestLocked(map.boundaries, map.slots);
       }
     }
 
@@ -895,15 +865,7 @@ class ShardedIndex {
         config_.num_shards = man.num_shards_cfg;
         config_.cdf_sample = man.cdf_sample;
         config_.rebalance = man.rebalance;
-        config_.rebalance.check_stride =
-            std::max<size_t>(config_.rebalance.check_stride, 1);
-        config_.rebalance.scan_chunk =
-            std::max<size_t>(config_.rebalance.scan_chunk, 2);
-        config_.rebalance.max_imbalance =
-            std::max(config_.rebalance.max_imbalance, 1.1);
-        config_.rebalance.coalesce_fraction =
-            std::clamp(config_.rebalance.coalesce_fraction, 0.0,
-                       config_.rebalance.max_imbalance * 0.45);
+        ClampRebalanceKnobs();
         next_uid_ = next_uid;
         auto map = std::make_unique<ShardMap>();
         map->boundaries.assign(bounds.value().begin(), bounds.value().end());
@@ -920,23 +882,12 @@ class ShardedIndex {
           LI_RETURN_IF_ERROR(slot->index.RecoverFromWal(ShardCfg(uid)));
           map->slots.push_back(std::move(slot));
         }
-        if constexpr (requires(const Inner& i) {
-                        {
-                          i.config()
-                        } -> std::convertible_to<inner_config_type>;
-                      }) {
-          config_.inner = map->slots[0]->index.config();
-        }
         // Shard files MANIFEST never committed (a rebalance that died
         // before its flip) are garbage: remove them.
         RemoveOrphanShardFiles(
             {uids.value().begin(), uids.value().end()});
         durable_.store(true, std::memory_order_release);
-        map_.store(map.release(), std::memory_order_seq_cst);
-        maps_published_.fetch_add(1, std::memory_order_relaxed);
-        if constexpr (kRebalanceCapable) {
-          worker_ = std::thread([this] { WorkerLoop(); });
-        }
+        Reopen(std::move(map));
         return Status::OK();
       }
     }
@@ -1002,25 +953,18 @@ class ShardedIndex {
         // re-runs on a writer trigger, so the capture that follows sees
         // a stable map unless writes keep racing (documented above).
         WaitForRebalances();
-        std::vector<key_type> boundaries;
-        std::vector<std::shared_ptr<Slot>> slots;
-        {
-          EpochManager::Guard g(epoch_);
-          const ShardMap* m = map_.load(std::memory_order_seq_cst);
-          boundaries = m->boundaries;
-          slots = m->slots;  // shared_ptrs outlive the pin
-        }
+        const ShardMap map = *maps_.Pin();  // shared_ptrs outlive the pin
         SnapshotManifest man;
-        man.shard_count = slots.size();
+        man.shard_count = map.slots.size();
         man.num_shards_cfg = config_.num_shards;
         man.cdf_sample = config_.cdf_sample;
         man.rebalance = config_.rebalance;
         LI_RETURN_IF_ERROR(writer.AddPod(prefix + "manifest", man));
         LI_RETURN_IF_ERROR(writer.AddArray(
-            prefix + "bounds", std::span<const key_type>(boundaries),
+            prefix + "bounds", std::span<const key_type>(map.boundaries),
             snapshot::SectionKind::kManifest));
-        for (size_t i = 0; i < slots.size(); ++i) {
-          LI_RETURN_IF_ERROR(slots[i]->index.WriteSections(
+        for (size_t i = 0; i < map.slots.size(); ++i) {
+          LI_RETURN_IF_ERROR(map.slots[i]->index.WriteSections(
               writer, prefix + "s" + std::to_string(i) + "/"));
         }
         return Status::OK();
@@ -1059,17 +1003,7 @@ class ShardedIndex {
         config_.num_shards = man.num_shards_cfg;
         config_.cdf_sample = man.cdf_sample;
         config_.rebalance = man.rebalance;
-        // Re-apply Build's knob clamps: a corrupt or hand-edited
-        // manifest must not re-enable oscillation or div-by-zero.
-        config_.rebalance.check_stride =
-            std::max<size_t>(config_.rebalance.check_stride, 1);
-        config_.rebalance.scan_chunk =
-            std::max<size_t>(config_.rebalance.scan_chunk, 2);
-        config_.rebalance.max_imbalance =
-            std::max(config_.rebalance.max_imbalance, 1.1);
-        config_.rebalance.coalesce_fraction =
-            std::clamp(config_.rebalance.coalesce_fraction, 0.0,
-                       config_.rebalance.max_imbalance * 0.45);
+        ClampRebalanceKnobs();
         auto map = std::make_unique<ShardMap>();
         map->boundaries.assign(bounds.value().begin(), bounds.value().end());
         for (size_t i = 0; i < man.shard_count; ++i) {
@@ -1078,18 +1012,7 @@ class ShardedIndex {
               reader, prefix + "s" + std::to_string(i) + "/"));
           map->slots.push_back(std::move(slot));
         }
-        if constexpr (requires(const Inner& i) {
-                        {
-                          i.config()
-                        } -> std::convertible_to<inner_config_type>;
-                      }) {
-          config_.inner = map->slots[0]->index.config();
-        }
-        map_.store(map.release(), std::memory_order_seq_cst);
-        maps_published_.fetch_add(1, std::memory_order_relaxed);
-        if constexpr (kRebalanceCapable) {
-          worker_ = std::thread([this] { WorkerLoop(); });
-        }
+        Reopen(std::move(map));
         return Status::OK();
       }
     }
@@ -1126,8 +1049,7 @@ class ShardedIndex {
       agg.shards = slots.size();
       agg.shard_splits = splits_.load(std::memory_order_relaxed);
       agg.shard_coalesces = coalesces_.load(std::memory_order_relaxed);
-      agg.shard_maps_published =
-          maps_published_.load(std::memory_order_relaxed);
+      agg.shard_maps_published = maps_.published();
       agg.shard_imbalance = CurrentImbalance();
       return agg;
     }
@@ -1135,8 +1057,7 @@ class ShardedIndex {
     size_t NumShards() const { return SlotSnapshot().size(); }
 
     std::vector<key_type> Boundaries() const {
-      EpochManager::Guard g(epoch_);
-      return map_.load(std::memory_order_seq_cst)->boundaries;
+      return maps_.Pin()->boundaries;
     }
 
     std::vector<size_t> ShardSizes() const {
@@ -1174,8 +1095,7 @@ class ShardedIndex {
     /// after the epoch pin drops (shared_ptr keeps slots alive even if
     /// the map version dies). The currency of every fan-out.
     std::vector<std::shared_ptr<Slot>> SlotSnapshot() const {
-      EpochManager::Guard g(epoch_);
-      return map_.load(std::memory_order_seq_cst)->slots;
+      return maps_.Pin()->slots;
     }
 
     /// The rebalancer's decision function — the ONE place the
@@ -1248,22 +1168,6 @@ class ShardedIndex {
         from = out.back();
       }
       return out;
-    }
-
-    /// Replaces `m` (the current map) with `fresh` and retires `m` to
-    /// the epoch manager. Rebalance-worker only.
-    void PublishMap(ShardMap* fresh, ShardMap* old) {
-      map_.store(fresh, std::memory_order_seq_cst);
-      maps_published_.fetch_add(1, std::memory_order_relaxed);
-      epoch_.Retire(old);
-    }
-
-    /// Frees retired maps no reader can still reach. Worker/destructor
-    /// context, no locks held.
-    void ReclaimMaps() {
-      std::vector<EpochManager::Retired> batch;
-      epoch_.ReclaimTo(batch);
-      EpochManager::Free(batch);
     }
 
     /// Re-opens a sealed slot after an aborted rebalance action: writes
@@ -1377,9 +1281,9 @@ class ShardedIndex {
     /// splitting shard block only during seal and cutover (brief).
     /// `published` reports whether a new map actually went out (false on
     /// the nothing-to-cut abort, which unseals and leaves state intact).
-    Status SplitShard(ShardMap* m, size_t s, bool* published) {
+    Status SplitShard(const ShardMap& m, size_t s, bool* published) {
       *published = false;
-      std::shared_ptr<Slot> old = m->slots[s];
+      std::shared_ptr<Slot> old = m.slots[s];
       {
         // Seal: after this exclusive section every writer dual-writes
         // into the catch-up log, so the snapshot below may be fuzzy
@@ -1435,11 +1339,9 @@ class ShardedIndex {
           tomb ? dst.Erase(k) : dst.Insert(k);
         }
         old->catchup.clear();
-        auto fresh = std::make_unique<ShardMap>();
-        fresh->boundaries = m->boundaries;
+        auto fresh = std::make_unique<ShardMap>(m);
         fresh->boundaries.insert(
             fresh->boundaries.begin() + static_cast<ptrdiff_t>(s), mid);
-        fresh->slots = m->slots;
         fresh->slots[s] = left;
         fresh->slots.insert(
             fresh->slots.begin() + static_cast<ptrdiff_t>(s) + 1, right);
@@ -1465,7 +1367,7 @@ class ShardedIndex {
             }
           }
         }
-        PublishMap(fresh.release(), m);
+        maps_.Publish(fresh.release());
         old->retired = true;
         splits_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -1479,10 +1381,10 @@ class ShardedIndex {
     /// One coalesce of the adjacent pair (s, s+1): seal both ->
     /// snapshot both (disjoint ascending ranges, so concatenation is
     /// sorted) -> build the merged shard -> cutover both.
-    Status CoalesceShards(ShardMap* m, size_t s, bool* published) {
+    Status CoalesceShards(const ShardMap& m, size_t s, bool* published) {
       *published = false;
-      std::shared_ptr<Slot> lo = m->slots[s];
-      std::shared_ptr<Slot> hi = m->slots[s + 1];
+      std::shared_ptr<Slot> lo = m.slots[s];
+      std::shared_ptr<Slot> hi = m.slots[s + 1];
       for (Slot* slot : {lo.get(), hi.get()}) {
         std::unique_lock<std::shared_mutex> lk(slot->cutover_mu);
         slot->sealed = true;
@@ -1528,11 +1430,9 @@ class ShardedIndex {
           }
           slot->catchup.clear();
         }
-        auto fresh = std::make_unique<ShardMap>();
-        fresh->boundaries = m->boundaries;
+        auto fresh = std::make_unique<ShardMap>(m);
         fresh->boundaries.erase(fresh->boundaries.begin() +
                                 static_cast<ptrdiff_t>(s));
-        fresh->slots = m->slots;
         fresh->slots[s] = merged;
         fresh->slots.erase(fresh->slots.begin() +
                            static_cast<ptrdiff_t>(s) + 1);
@@ -1551,7 +1451,7 @@ class ShardedIndex {
             }
           }
         }
-        PublishMap(fresh.release(), m);
+        maps_.Publish(fresh.release());
         lo->retired = true;
         hi->retired = true;
         coalesces_.fetch_add(1, std::memory_order_relaxed);
@@ -1566,24 +1466,23 @@ class ShardedIndex {
       return Status::OK();
     }
 
-    /// One rebalance cycle: act on what PickAction calls for, re-check,
-    /// repeat until balanced, the per-cycle action cap hits, or an
-    /// action cannot make progress (e.g. the hot shard has nothing to
-    /// cut strictly between). `work_remaining` reports a cap-limited
-    /// exit with the conditions still firing — the worker then re-arms
-    /// itself, so one WaitForRebalances() suffices for callers however
-    /// many actions the drift needs.
-    Status DoRebalance(bool* work_remaining) {
-      *work_remaining = false;
+    /// One rebalance cycle (the worker's body): act on what PickAction
+    /// calls for, re-check, repeat until balanced, the per-cycle action
+    /// cap hits, or an action cannot make progress (e.g. the hot shard has
+    /// nothing to cut strictly between). A cap-limited exit with the
+    /// conditions still firing re-arms the worker, so one
+    /// WaitForRebalances() suffices for callers however many actions the
+    /// drift needs. Shutdown ends the cycle between actions.
+    Status DoRebalance() {
       const size_t cap = config_.rebalance.max_actions_per_cycle;
       for (size_t action = 0; action < cap; ++action) {
-        ReclaimMaps();
-        // The worker is the only map mutator, so its own load needs no
+        maps_.Reclaim();
+        // The worker is the only map publisher, so its own read needs no
         // epoch pin — the map cannot be retired out from under it.
-        ShardMap* m = map_.load(std::memory_order_seq_cst);
-        const RebalanceAction act = PickAction(*m);
-        if (act.kind == RebalanceAction::Kind::kNone) {  // balanced
-          ReclaimMaps();
+        const ShardMap& m = *maps_.current();
+        const RebalanceAction act = PickAction(m);
+        if (act.kind == RebalanceAction::Kind::kNone || worker_.stopping()) {
+          maps_.Reclaim();
           return Status::OK();
         }
         bool published = false;
@@ -1592,39 +1491,16 @@ class ShardedIndex {
         } else {
           LI_RETURN_IF_ERROR(CoalesceShards(m, act.shard, &published));
         }
-        if (!published) {  // no progress possible on this pick; give up
-          ReclaimMaps();   // the cycle (writers may re-trigger later)
+        if (!published) {   // no progress possible on this pick; give up
+          maps_.Reclaim();  // the cycle (writers may re-trigger later)
           return Status::OK();
         }
       }
-      *work_remaining =
-          PickAction(*map_.load(std::memory_order_seq_cst)).kind !=
-          RebalanceAction::Kind::kNone;
-      ReclaimMaps();
-      return Status::OK();
-    }
-
-    void WorkerLoop() {
-      std::unique_lock<std::mutex> lk(rebalance_mu_);
-      for (;;) {
-        rebalance_cv_.wait(lk,
-                           [&] { return rebalance_requested_ || shutdown_; });
-        if (shutdown_) return;
-        rebalance_requested_ = false;
-        rebalance_running_ = true;
-        lk.unlock();
-        bool work_remaining = false;
-        const Status st = DoRebalance(&work_remaining);
-        lk.lock();
-        rebalance_running_ = false;
-        last_rebalance_status_ = st;
-        // Cap-limited exit with conditions still firing: re-arm so the
-        // next iteration continues (WaitForRebalances keeps waiting).
-        if (st.ok() && work_remaining && !shutdown_) {
-          rebalance_requested_ = true;
-        }
-        rebalance_done_cv_.notify_all();
+      if (PickAction(*maps_.current()).kind != RebalanceAction::Kind::kNone) {
+        worker_.Request();  // re-arm
       }
+      maps_.Reclaim();
+      return Status::OK();
     }
 
     static void Accumulate(index::WritableIndexStats& agg,
@@ -1644,23 +1520,11 @@ class ShardedIndex {
     }
 
     Config config_{};
-    std::atomic<ShardMap*> map_{nullptr};
-    mutable EpochManager epoch_;
-
-    // Rebalance worker machinery (mirrors the merge worker's).
-    std::thread worker_;
-    mutable std::mutex rebalance_mu_;
-    std::condition_variable rebalance_cv_;
-    std::condition_variable rebalance_done_cv_;
-    bool rebalance_requested_ = false;
-    bool rebalance_running_ = false;
-    bool shutdown_ = false;
-    Status last_rebalance_status_{};
+    Versioned<ShardMap> maps_;  // slots die with the last map holding them
 
     std::atomic<uint64_t> write_tick_{0};
     std::atomic<uint64_t> splits_{0};
     std::atomic<uint64_t> coalesces_{0};
-    std::atomic<uint64_t> maps_published_{0};
 
     // Durability state. `durable_` flips once (under durable_mu_) and
     // is read by the worker without it; everything else behind the flag
@@ -1669,6 +1533,10 @@ class ShardedIndex {
     mutable std::mutex durable_mu_;
     wal::DurabilityConfig dur_cfg_;
     uint64_t next_uid_ = 0;
+
+    // Last: joined before anything the rebalance body touches is
+    // destroyed.
+    BackgroundWorker worker_;
   };
 
   std::unique_ptr<Impl> impl_;

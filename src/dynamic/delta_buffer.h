@@ -46,6 +46,8 @@ struct DeltaEntry {
 template <typename Key>
 class DeltaBuffer {
  public:
+  using value_type = DeltaEntry<Key>;
+
   explicit DeltaBuffer(size_t active_cap = 256)
       : active_cap_(std::max<size_t>(active_cap, 2)) {}
 

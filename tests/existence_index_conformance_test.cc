@@ -21,7 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -227,6 +230,81 @@ TEST_F(ExistenceConformanceTest, RebuildableBloomAutoRebuildsAtStaleness) {
   for (int i = 0; i < 400; ++i) {
     ASSERT_TRUE(filter.MightContain("http://stale.example/" +
                                     std::to_string(i)));
+  }
+  CheckContract(filter, 0.03);
+}
+
+TEST_F(ExistenceConformanceTest, RebuiltFilterSizeMatchesAFreshBuild) {
+  // SizeBytes is the filter plus the exact side structures, whether the
+  // filter came from Build or from a background rebuild: folding inserts
+  // in must not start counting the corpus the rebuild read.
+  const std::vector<std::string>& keys = corpus_->keys;
+  const size_t initial = keys.size() * 9 / 10;
+  concurrent::RebuildableExistence<bloom::BloomFilter>::Config config;
+  config.rebuild = concurrent::PlainBloomRebuilder(0.01);
+  config.staleness = 0;
+  concurrent::RebuildableExistence<bloom::BloomFilter> rebuilt;
+  ASSERT_TRUE(rebuilt
+                  .Build(std::span<const std::string>(keys).first(initial),
+                         config)
+                  .ok());
+  for (size_t i = initial; i < keys.size(); ++i) rebuilt.Insert(keys[i]);
+  ASSERT_TRUE(rebuilt.Rebuild().ok());
+  concurrent::RebuildableExistence<bloom::BloomFilter> fresh;
+  ASSERT_TRUE(fresh.Build(keys, config).ok());
+  ASSERT_EQ(rebuilt.num_keys(), fresh.num_keys());
+  EXPECT_EQ(rebuilt.SizeBytes(), fresh.SizeBytes());
+}
+
+TEST_F(ExistenceConformanceTest, FailedRebuildKeepsServingAndRetries) {
+  // A Rebuilder that fails on its second call: Build succeeds, the first
+  // Rebuild fails, every later one succeeds.
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  const auto plain = concurrent::PlainBloomRebuilder(0.01);
+  concurrent::RebuildableExistence<bloom::BloomFilter>::Config config;
+  config.rebuild = [calls, plain](std::span<const std::string> keys,
+                                  bloom::BloomFilter* out) -> Status {
+    if (calls->fetch_add(1) == 1) return Status::Internal("injected");
+    return plain(keys, out);
+  };
+  config.staleness = 0;
+  config.log_cap = 64;  // the inserts span several frozen versions
+  concurrent::RebuildableExistence<bloom::BloomFilter> filter;
+  ASSERT_TRUE(filter.Build(corpus_->keys, config).ok());
+  std::vector<std::string> fresh;
+  for (int i = 0; i < 500; ++i) {
+    fresh.push_back("http://pending.example/" + std::to_string(i));
+    ASSERT_TRUE(filter.Insert(fresh.back()));
+  }
+  const size_t keys_before = filter.num_keys();
+
+  const Status failed = filter.Rebuild();
+  EXPECT_EQ(failed.code(), StatusCode::kInternal);
+  EXPECT_EQ(filter.last_rebuild_status().code(), StatusCode::kInternal);
+  EXPECT_EQ(filter.last_rebuild_status().message(), "injected");
+  EXPECT_EQ(filter.num_keys(), keys_before);
+  // The old filter keeps serving, and the keys handed to the failed
+  // build are answered exactly from the side set.
+  const index::ConcurrentIndexStats after_failure = filter.ConcurrentStats();
+  EXPECT_EQ(after_failure.background_merges, 0u);
+  EXPECT_EQ(after_failure.base_keys, keys_before - fresh.size());
+  EXPECT_EQ(after_failure.delta_entries, fresh.size());
+  for (const std::string& k : fresh) {
+    ASSERT_TRUE(filter.MightContain(k)) << k << " lost by a failed rebuild";
+  }
+  CheckContract(filter, 0.03);
+
+  ASSERT_TRUE(filter.Insert("http://after.failure/0"));
+  fresh.push_back("http://after.failure/0");
+  ASSERT_TRUE(filter.Rebuild().ok());
+  EXPECT_TRUE(filter.last_rebuild_status().ok());
+  const index::ConcurrentIndexStats after_retry = filter.ConcurrentStats();
+  EXPECT_EQ(after_retry.background_merges, 1u);
+  EXPECT_EQ(filter.num_keys(), keys_before + 1);
+  EXPECT_EQ(after_retry.base_keys, filter.num_keys());
+  EXPECT_EQ(after_retry.delta_entries, 0u);
+  for (const std::string& k : fresh) {
+    ASSERT_TRUE(filter.MightContain(k)) << k << " lost by the retry";
   }
   CheckContract(filter, 0.03);
 }
