@@ -11,7 +11,9 @@
 //     map. Every overlay entry carries the full record plus a monotone
 //     per-write sequence number; reads copy the record out under the pin
 //     (the contract is value-semantics exactly because a base pointer
-//     would dangle once a rebuild retires its version);
+//     would dangle once a rebuild retires its version). The log is
+//     columnar, so its newest-wins probe is one find_last_eq_u64 kernel
+//     call over the key column (simd/dispatch.h);
 //   * the rehash/resize body: apply the rotated overlay over the base
 //     records and build a replacement table over the merged set. Cuckoo
 //     kick-chains run entirely against this private table, and an explicit
@@ -177,7 +179,18 @@ class ConcurrentPointIndex {
     bool tombstone = false;
   };
 
-  using Log = WriteLog<OvEntry>;
+  /// The log's columns: the written record (key, payload, meta), the
+  /// write's sequence number and its tombstone flag.
+  enum LogColumn : size_t { kKey, kPayload, kMeta, kSeq, kTombstone };
+  using Log = WriteLog<uint64_t, uint64_t, uint32_t, uint64_t, uint8_t>;
+  using LogView = Log::View;
+
+  static OvEntry EntryAt(const LogView& log, size_t i) {
+    return OvEntry{{Column<kKey>(log)[i], Column<kPayload>(log)[i],
+                    Column<kMeta>(log)[i]},
+                   Column<kSeq>(log)[i],
+                   Column<kTombstone>(log)[i] != 0};
+  }
 
   /// One published version; only its log's unpublished tail changes.
   struct State {
@@ -239,7 +252,8 @@ class ConcurrentPointIndex {
       std::atomic<uint64_t>* stripe = reads_.Stripe();
       stripe[kLookups].fetch_add(1, std::memory_order_relaxed);
       const auto s = version_.Pin();
-      const int ov = OverlayFind(*s, s->log.published(), key, out);
+      const int ov =
+          OverlayFind(simd::GetKernels(), *s, s->log.published(), key, out);
       if (ov >= 0) {
         stripe[kOverlayHits].fetch_add(1, std::memory_order_relaxed);
         return ov == 1;
@@ -257,7 +271,8 @@ class ConcurrentPointIndex {
       std::atomic<uint64_t>* stripe = reads_.Stripe();
       stripe[kLookups].fetch_add(m, std::memory_order_relaxed);
       const auto s = version_.Pin();
-      const std::span<const OvEntry> log = s->log.published();
+      const LogView log = s->log.published();
+      const simd::Kernels& k = simd::GetKernels();
       const bool base_has_records = s->base->num_records() > 0;
       // Blocked: the base's native batch path (the SIMD slot kernels)
       // resolves each block, then the overlay patches the keys it
@@ -274,7 +289,7 @@ class ConcurrentPointIndex {
         }
         for (size_t i = 0; i < len; ++i) {
           hash::Record tmp;
-          const int ov = OverlayFind(*s, log, keys[beg + i], &tmp);
+          const int ov = OverlayFind(k, *s, log, keys[beg + i], &tmp);
           if (ov >= 0) {
             stripe[kOverlayHits].fetch_add(1, std::memory_order_relaxed);
             found[beg + i] = ov == 1 ? 1 : 0;
@@ -298,8 +313,7 @@ class ConcurrentPointIndex {
       const auto s = version_.Pin();
       return s->base->SizeBytes() +
              s->base_records->size() * sizeof(hash::Record) +
-             s->frozen.size() * sizeof(OvEntry) +
-             s->log.capacity() * sizeof(OvEntry);
+             s->frozen.size() * sizeof(OvEntry) + s->log.SizeBytes();
     }
 
     index::PointIndexStats Stats() const {
@@ -324,7 +338,7 @@ class ConcurrentPointIndex {
       const auto s = version_.Pin();
       cs.log_entries = s->log.published().size();
       cs.delta_entries = s->frozen.size() + cs.log_entries;
-      cs.delta_bytes = (s->frozen.size() + s->log.capacity()) * sizeof(OvEntry);
+      cs.delta_bytes = s->frozen.size() * sizeof(OvEntry) + s->log.SizeBytes();
       cs.base_keys = s->base_records->size();
       cs.shards = 1;
       return cs;
@@ -345,7 +359,8 @@ class ConcurrentPointIndex {
       }
       if (s->log.full_locked()) s = FreezeLocked(*s);
       const bool tombstone = kind == WriteKind::kErase;
-      s->log.Append(OvEntry{rec, ++seq_last_, tombstone});
+      s->log.Append(rec.key, rec.payload, rec.meta, ++seq_last_,
+                    static_cast<uint8_t>(tombstone));
       if (tombstone) {
         live_count_.fetch_add(-1, std::memory_order_relaxed);
         erases_.fetch_add(1, std::memory_order_relaxed);
@@ -366,14 +381,14 @@ class ConcurrentPointIndex {
     /// Overlay verdict for `key`: 1 = live (record copied into *out),
     /// 0 = tombstoned, -1 = not in the overlay (consult the base).
     /// Newest-first: log suffix before frozen.
-    int OverlayFind(const State& s, std::span<const OvEntry> log, uint64_t key,
+    int OverlayFind(const simd::Kernels& k, const State& s,
+                    const LogView& log, uint64_t key,
                     hash::Record* out) const {
-      for (size_t i = log.size(); i-- > 0;) {  // newest write wins
-        if (log[i].rec.key == key) {
-          if (log[i].tombstone) return 0;
-          *out = log[i].rec;
-          return 1;
-        }
+      if (const size_t i = LogFindLast(k, Column<kKey>(log), key);
+          i < log.size()) {  // newest write wins
+        if (Column<kTombstone>(log)[i] != 0) return 0;
+        *out = EntryAt(log, i).rec;
+        return 1;
       }
       const auto it = std::lower_bound(
           s.frozen.begin(), s.frozen.end(), key,
@@ -390,7 +405,8 @@ class ConcurrentPointIndex {
     /// writers swap state, and we hold the writer mutex).
     bool LiveLocked(const State& s, uint64_t key) const {
       hash::Record tmp;
-      const int ov = OverlayFind(s, s.log.locked(), key, &tmp);
+      const int ov =
+          OverlayFind(simd::GetKernels(), s, s.log.locked(), key, &tmp);
       if (ov >= 0) return ov == 1;
       return s.base->Find(key) != nullptr;
     }
@@ -400,10 +416,14 @@ class ConcurrentPointIndex {
     std::vector<OvEntry> FoldedOverlay(const State& s) const {
       std::vector<OvEntry> out;
       out.reserve(s.frozen.size() + s.log.size_locked());
+      const LogView log = s.log.locked();
+      const auto keys = Column<kKey>(log);
       s.log.Fold(
-          s.frozen, [](const OvEntry& e) { return e.rec.key; },
-          [&](const OvEntry* f, const OvEntry*, const OvEntry* last) {
-            out.push_back(last != nullptr ? *last : *f);
+          s.frozen, [](const OvEntry& f) { return f.rec.key; },
+          [&](uint32_t i) { return keys[i]; },
+          [&](const OvEntry& f) { out.push_back(f); },
+          [&](const OvEntry*, uint32_t, uint32_t last) {
+            out.push_back(EntryAt(log, last));
           });
       return out;
     }

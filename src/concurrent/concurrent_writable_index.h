@@ -8,9 +8,12 @@
 //   * versions { base keys + built Base index, frozen delta (sorted runs +
 //     rank prefix sums), write log };
 //   * the read fold: rank = base.Lookup + frozen.RankAdjustBelow + Σ log
-//     nets. Each log entry carries its *liveness delta* (net ∈ {-1,0,+1})
+//     nets. Each log write carries its *liveness delta* (net ∈ {-1,0,+1})
 //     computed at append time, so any published log prefix yields an exact
-//     lower_bound rank over the live set as of that prefix;
+//     lower_bound rank over the live set as of that prefix. The log is
+//     columnar (key, net, flags), so the Σ is one sum_below_u64 kernel
+//     call over the key and net columns and a point probe one
+//     find_last_eq_u64 over the key column (simd/dispatch.h);
 //   * the merge body: merge base ∪ delta into a fresh key array, train a
 //     new Base over it, and rebase what the delta gained during the build
 //     onto the new base by a per-key membership recheck;
@@ -259,14 +262,13 @@ class ConcurrentWritableIndex {
   static_assert(std::is_trivially_copyable_v<dynamic::MergePolicy>,
                 "MergePolicy is persisted verbatim in snapshots");
 
-  struct LogEntry {
-    key_type key{};
-    int8_t net = 0;           // liveness delta of this write: -1 / 0 / +1
-    bool tombstone = false;   // Erase vs Insert
-    bool live_before = false; // key was live immediately before this write
-  };
-
-  using Log = WriteLog<LogEntry>;
+  /// The log's columns: the written key, the write's liveness delta
+  /// (-1 / 0 / +1) and its flags.
+  enum LogColumn : size_t { kKey, kNet, kFlags };
+  static constexpr uint8_t kTombstone = 1;   // Erase vs Insert
+  static constexpr uint8_t kLiveBefore = 2;  // key was live just before
+  using Log = WriteLog<key_type, int8_t, uint8_t>;
+  using LogView = typename Log::View;
 
   /// One published version; only its log's unpublished tail changes.
   struct State {
@@ -323,7 +325,7 @@ class ConcurrentWritableIndex {
 
     index::Approx ApproxPos(const key_type& key) const {
       const auto s = version_.Pin();
-      const std::span<const LogEntry> log = s->log.published();
+      const LogView log = s->log.published();
       return index::Approx::Exact(RawLookupIn(*s, log, key),
                                   LiveCountIn(*s, log));
     }
@@ -333,17 +335,18 @@ class ConcurrentWritableIndex {
       const size_t m = std::min(keys.size(), out.size());
       reads_.Stripe()[kLookups].fetch_add(m, std::memory_order_relaxed);
       const auto s = version_.Pin();
-      const std::span<const LogEntry> log = s->log.published();
+      const LogView log = s->log.published();
       // Base ranks through the base's native batch path (the RMI software
       // pipeline), then the delta adjustment per key — with an empty
       // delta this runs at base batch throughput.
       index::LookupBatch(*s->base, keys, out);
       if (s->frozen.empty() && log.empty()) return;
+      const simd::Kernels& k = simd::GetKernels();
+      const auto lkeys = Column<kKey>(log);
+      const int8_t* nets = Column<kNet>(log).data();
       for (size_t i = 0; i < m; ++i) {
-        int64_t adj = s->frozen.RankAdjustBelow(keys[i]);
-        for (const LogEntry& e : log) {
-          if (e.key < keys[i]) adj += e.net;
-        }
+        const int64_t adj = s->frozen.RankAdjustBelow(keys[i]) +
+                            LogSumBelow(k, lkeys, nets, keys[i]);
         out[i] = static_cast<size_t>(static_cast<int64_t>(out[i]) + adj);
       }
     }
@@ -353,12 +356,12 @@ class ConcurrentWritableIndex {
       st[kLookups].fetch_add(1, std::memory_order_relaxed);
       st[kContains].fetch_add(1, std::memory_order_relaxed);
       const auto s = version_.Pin();
-      const std::span<const LogEntry> log = s->log.published();
-      for (size_t i = log.size(); i-- > 0;) {  // newest write wins
-        if (log[i].key == key) {
-          st[kDeltaHits].fetch_add(1, std::memory_order_relaxed);
-          return !log[i].tombstone;
-        }
+      const LogView log = s->log.published();
+      if (const size_t i =
+              LogFindLast(simd::GetKernels(), Column<kKey>(log), key);
+          i < log.size()) {  // newest write wins
+        st[kDeltaHits].fetch_add(1, std::memory_order_relaxed);
+        return (Column<kFlags>(log)[i] & kTombstone) == 0;
       }
       if (const auto e = s->frozen.Find(key)) {
         st[kDeltaHits].fetch_add(1, std::memory_order_relaxed);
@@ -371,12 +374,17 @@ class ConcurrentWritableIndex {
       std::vector<key_type> out;
       if (limit == 0) return out;
       const auto s = version_.Pin();
-      const std::span<const LogEntry> log = s->log.published();
-      // Newest-wins, sorted view of the log entries with key >= from.
+      const LogView log = s->log.published();
+      const auto lkeys = Column<kKey>(log);
+      const auto lflags = Column<kFlags>(log);
+      auto tombstone = [&](uint32_t slot) {
+        return (lflags[slot] & kTombstone) != 0;
+      };
+      // Newest-wins, sorted view of the log writes with key >= from.
       std::vector<std::pair<key_type, uint32_t>> lv;
       lv.reserve(log.size());
       for (uint32_t i = 0; i < log.size(); ++i) {
-        if (!(log[i].key < from)) lv.emplace_back(log[i].key, i);
+        if (!(lkeys[i] < from)) lv.emplace_back(lkeys[i], i);
       }
       std::sort(lv.begin(), lv.end());
       size_t w = 0;
@@ -410,14 +418,12 @@ class ConcurrentWritableIndex {
       };
       s->frozen.VisitFrom(from, [&](const dynamic::DeltaEntry<key_type>& fe) {
         while (li < lv.size() && lv[li].first < fe.key && !done) {
-          const LogEntry& e = log[lv[li].second];
-          emit(e.key, e.tombstone);
+          emit(lv[li].first, tombstone(lv[li].second));
           ++li;
         }
         if (done) return false;
         if (li < lv.size() && lv[li].first == fe.key) {
-          const LogEntry& e = log[lv[li].second];
-          emit(e.key, e.tombstone);  // log shadows frozen
+          emit(lv[li].first, tombstone(lv[li].second));  // log shadows frozen
           ++li;
         } else {
           emit(fe.key, fe.tombstone);
@@ -425,8 +431,7 @@ class ConcurrentWritableIndex {
         return !done;
       });
       while (li < lv.size() && !done) {
-        const LogEntry& e = log[lv[li].second];
-        emit(e.key, e.tombstone);
+        emit(lv[li].first, tombstone(lv[li].second));
         ++li;
       }
       while (bi < bk.size() && out.size() < limit) out.push_back(bk[bi++]);
@@ -440,8 +445,7 @@ class ConcurrentWritableIndex {
 
     size_t SizeBytes() const {
       const auto s = version_.Pin();
-      return s->base->SizeBytes() + s->frozen.SizeBytes() +
-             s->log.capacity() * sizeof(LogEntry);
+      return s->base->SizeBytes() + s->frozen.SizeBytes() + s->log.SizeBytes();
     }
 
     // ---- write path ----
@@ -460,14 +464,22 @@ class ConcurrentWritableIndex {
       const bool live_before = LiveLocked(*s, key);
       const auto net =
           static_cast<int8_t>((tombstone ? 0 : 1) - (live_before ? 1 : 0));
-      s->log.Append(LogEntry{key, net, tombstone, live_before});
+      s->log.Append(key, net,
+                    static_cast<uint8_t>((tombstone ? kTombstone : 0) |
+                                         (live_before ? kLiveBefore : 0)));
       live_count_.fetch_add(net, std::memory_order_relaxed);
       (tombstone ? erases_ : inserts_).fetch_add(1, std::memory_order_relaxed);
       ++writes_since_merge_;
       const size_t delta_entries = s->frozen.entry_count() + n + 1;
+      // Summing the read count visits every reader's counter stripe under
+      // this lock; only the write-ratio trigger looks at it.
+      const uint64_t reads =
+          config_.policy.trigger == dynamic::MergeTrigger::kWriteRatio
+              ? ReadsSinceMerge()
+              : 0;
       if (dynamic::ShouldMerge(config_.policy, delta_entries,
                                s->base_keys->size(), writes_since_merge_,
-                               ReadsSinceMerge())) {
+                               reads)) {
         worker_.Request();
       }
       version_.DrainDeferred(lk);  // heavy frees happen outside the lock
@@ -736,20 +748,20 @@ class ConcurrentWritableIndex {
              reads_baseline_.load(std::memory_order_relaxed);
     }
 
-    size_t RawLookupIn(const State& s, std::span<const LogEntry> log,
+    size_t RawLookupIn(const State& s, const LogView& log,
                        const key_type& key) const {
-      int64_t rank = static_cast<int64_t>(s.base->Lookup(key)) +
-                     s.frozen.RankAdjustBelow(key);
-      for (const LogEntry& e : log) {
-        if (e.key < key) rank += e.net;
-      }
+      const int64_t rank =
+          static_cast<int64_t>(s.base->Lookup(key)) +
+          s.frozen.RankAdjustBelow(key) +
+          LogSumBelow(simd::GetKernels(), Column<kKey>(log),
+                      Column<kNet>(log).data(), key);
       return rank > 0 ? static_cast<size_t>(rank) : 0;
     }
 
-    size_t LiveCountIn(const State& s, std::span<const LogEntry> log) const {
+    size_t LiveCountIn(const State& s, const LogView& log) const {
       int64_t c = static_cast<int64_t>(s.base_keys->size()) +
                   s.frozen.LiveAdjustTotal();
-      for (const LogEntry& e : log) c += e.net;
+      for (const int8_t net : Column<kNet>(log)) c += net;
       return c > 0 ? static_cast<size_t>(c) : 0;
     }
 
@@ -761,9 +773,11 @@ class ConcurrentWritableIndex {
     /// Liveness of `key` under the writer mutex (no guard needed: only
     /// writers swap state, and we hold the writer mutex).
     bool LiveLocked(const State& s, const key_type& key) const {
-      const std::span<const LogEntry> log = s.log.locked();
-      for (size_t i = log.size(); i-- > 0;) {
-        if (log[i].key == key) return !log[i].tombstone;
+      const LogView log = s.log.locked();
+      if (const size_t i =
+              LogFindLast(simd::GetKernels(), Column<kKey>(log), key);
+          i < log.size()) {
+        return (Column<kFlags>(log)[i] & kTombstone) == 0;
       }
       if (const auto e = s.frozen.Find(key)) return !e->tombstone;
       return BaseContainsIn(s, key);
@@ -776,22 +790,25 @@ class ConcurrentWritableIndex {
     /// dropped — valid only when the result is paired with the *same*
     /// base.
     DeltaEntries FoldedEntries(const State& s, bool drop_redundant) const {
+      using Entry = dynamic::DeltaEntry<key_type>;
       DeltaEntries out;
       out.reserve(s.frozen.entry_count() + s.log.size_locked());
+      const LogView log = s.log.locked();
+      const auto keys = Column<kKey>(log);
+      const auto flags = Column<kFlags>(log);
       s.log.Fold(
-          s.frozen, [](const auto& e) -> const key_type& { return e.key; },
-          [&](const dynamic::DeltaEntry<key_type>* f, const LogEntry* first,
-              const LogEntry* last) {
-            if (last == nullptr) {
-              out.push_back(*f);
-              return;
-            }
+          s.frozen, [](const Entry& f) -> const key_type& { return f.key; },
+          [&](uint32_t i) -> const key_type& { return keys[i]; },
+          [&](const Entry& f) { out.push_back(f); },
+          [&](const Entry* f, uint32_t first, uint32_t last) {
             // in_base: the shadowed frozen entry knows it; otherwise the
             // first log write's prior liveness *is* base membership (no
             // frozen or log predecessor existed).
-            const bool in_base = f != nullptr ? f->in_base : first->live_before;
-            if (!drop_redundant || last->tombstone == in_base) {
-              out.push_back({last->key, last->tombstone, in_base});
+            const bool in_base =
+                f != nullptr ? f->in_base : (flags[first] & kLiveBefore) != 0;
+            const bool tombstone = (flags[last] & kTombstone) != 0;
+            if (!drop_redundant || tombstone == in_base) {
+              out.push_back({keys[last], tombstone, in_base});
             }
           });
       return out;
@@ -896,8 +913,7 @@ class ConcurrentWritableIndex {
       const auto st = version_.Pin();
       s.delta_entries =
           st->frozen.entry_count() + st->log.published().size();
-      s.delta_bytes =
-          st->frozen.SizeBytes() + st->log.capacity() * sizeof(LogEntry);
+      s.delta_bytes = st->frozen.SizeBytes() + st->log.SizeBytes();
       s.base_keys = st->base_keys->size();
       return s;
     }

@@ -14,7 +14,10 @@
 //     (sorted inserted keys), write log };
 //   * the read fold: log -> frozen -> pending -> filter. Every side
 //     structure is exact, so the §5 no-false-negative guarantee extends to
-//     inserted keys the moment Insert returns;
+//     inserted keys the moment Insert returns. The log is columnar: a
+//     64-bit hash tag per insert, probed with one find_last_eq_u64 kernel
+//     call (simd/dispatch.h), and the string itself, compared only on a
+//     tag match so answers stay exact;
 //   * the rebuild body: the rotation moves frozen -> pending; the build
 //     runs the caller-supplied `Rebuilder` over corpus ∪ pending (for a
 //     learned filter this is where the threshold re-calibrates and the
@@ -37,6 +40,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -47,6 +51,7 @@
 #include <vector>
 
 #include "bloom/bloom_filter.h"
+#include "common/random.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "concurrent/background_worker.h"
@@ -146,7 +151,56 @@ class RebuildableExistence {
 
  private:
   using Keys = std::vector<std::string>;
-  using Log = WriteLog<std::string>;
+
+  /// Append-only bytes behind the log's string column, one arena per
+  /// version. Chunks never move, so a pointer published through the log
+  /// stays valid for the version's life; each string is stored after its
+  /// length.
+  class StringArena {
+   public:
+    /// Writer-mutex holder only.
+    const char* Add(std::string_view str) {
+      const size_t len = str.size();
+      const size_t need = sizeof(len) + len;
+      if (room_ < need) {
+        const size_t bytes = std::max(kChunkBytes, need);
+        chunks_.push_back(std::make_unique_for_overwrite<char[]>(bytes));
+        next_ = chunks_.back().get();
+        room_ = bytes;
+        bytes_.fetch_add(bytes, std::memory_order_relaxed);
+      }
+      char* at = next_;
+      std::memcpy(at, &len, sizeof(len));
+      std::copy(str.begin(), str.end(), at + sizeof(len));
+      next_ += need;
+      room_ -= need;
+      return at;
+    }
+    static std::string_view View(const char* at) {
+      size_t len;
+      std::memcpy(&len, at, sizeof(len));
+      return {at + sizeof(len), len};
+    }
+    /// What the chunks allocate.
+    size_t SizeBytes() const { return bytes_.load(std::memory_order_relaxed); }
+
+   private:
+    static constexpr size_t kChunkBytes = 4096;
+    std::vector<std::unique_ptr<char[]>> chunks_;
+    char* next_ = nullptr;
+    size_t room_ = 0;
+    std::atomic<size_t> bytes_{0};
+  };
+
+  /// The log's columns: the inserted string's hash tag and the string,
+  /// stored in the version's StringArena.
+  enum LogColumn : size_t { kTag, kStr };
+  using Log = WriteLog<uint64_t, const char*>;
+  using LogView = Log::View;
+
+  static uint64_t Tag(std::string_view key) {
+    return MurmurHash64(key.data(), key.size());
+  }
 
   /// One published version; only its log's unpublished tail changes.
   struct State {
@@ -155,6 +209,7 @@ class RebuildableExistence {
     std::shared_ptr<const Keys> pending;  // sorted, or null
     Keys frozen;                          // sorted
     typename Log::Segment log;
+    StringArena strings;  // the bytes the log's string column points at
   };
 
   enum ReadCounter : size_t { kLookups, kSideHits, kNumReads };
@@ -189,7 +244,7 @@ class RebuildableExistence {
                     std::shared_ptr<const Keys> pending, Keys frozen) const {
       return new State{std::move(filter), std::move(corpus),
                        std::move(pending), std::move(frozen),
-                       typename Log::Segment(config_.log_cap)};
+                       typename Log::Segment(config_.log_cap), StringArena{}};
     }
 
     // ---- read path ----
@@ -198,13 +253,8 @@ class RebuildableExistence {
       std::atomic<uint64_t>* stripe = reads_.Stripe();
       stripe[kLookups].fetch_add(1, std::memory_order_relaxed);
       const auto s = version_.Pin();
-      for (const std::string& k : s->log.published()) {
-        if (k == key) {
-          stripe[kSideHits].fetch_add(1, std::memory_order_relaxed);
-          return true;
-        }
-      }
-      if (SortedContains(s->frozen, key) ||
+      if (LogContains(s->log.published(), key, Tag(key)) ||
+          SortedContains(s->frozen, key) ||
           (s->pending != nullptr && SortedContains(*s->pending, key))) {
         stripe[kSideHits].fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -222,10 +272,9 @@ class RebuildableExistence {
     /// not counted.
     size_t SizeBytes() const {
       const auto s = version_.Pin();
-      size_t bytes = s->filter->SizeBytes();
+      size_t bytes = s->filter->SizeBytes() + s->log.SizeBytes() +
+                     s->strings.SizeBytes();
       for (const std::string& k : s->frozen) bytes += k.size();
-      for (const std::string& k : s->log.published()) bytes += k.size();
-      bytes += s->log.capacity() * sizeof(std::string);
       if (s->pending != nullptr) {
         for (const std::string& k : *s->pending) bytes += k.size();
       }
@@ -261,12 +310,13 @@ class RebuildableExistence {
     bool Insert(std::string_view key) {
       std::unique_lock<std::mutex> lk = log_.Lock();
       State* s = version_.current();
-      if (ExactMemberLocked(*s, key)) {
+      const uint64_t tag = Tag(key);
+      if (ExactMemberLocked(*s, key, tag)) {
         version_.DrainDeferred(lk);
         return false;
       }
       if (s->log.full_locked()) s = FreezeLocked(*s);
-      s->log.Append(std::string(key));
+      s->log.Append(tag, s->strings.Add(key));
       key_count_.fetch_add(1, std::memory_order_relaxed);
       inserts_.fetch_add(1, std::memory_order_relaxed);
       const size_t side = s->frozen.size() + s->log.size_locked() +
@@ -284,6 +334,21 @@ class RebuildableExistence {
 
     // ---- internals ----
 
+    /// Newest-first tag probe of a log prefix; a tag match is confirmed on
+    /// the bytes, a collision moves on to the next older match.
+    static bool LogContains(const LogView& log, std::string_view key,
+                            uint64_t tag) {
+      const simd::Kernels& k = simd::GetKernels();
+      const auto tags = Column<kTag>(log);
+      size_t end = log.size();
+      for (;;) {
+        const size_t i = LogFindLast(k, tags.first(end), tag);
+        if (i == end) return false;
+        if (StringArena::View(Column<kStr>(log)[i]) == key) return true;
+        end = i;
+      }
+    }
+
     static bool SortedContains(const Keys& v, std::string_view key) {
       const auto it = std::lower_bound(v.begin(), v.end(), key);
       return it != v.end() && *it == key;
@@ -292,10 +357,9 @@ class RebuildableExistence {
     /// Exact membership under the writer mutex: corpus, pending, frozen
     /// and log are all exact sets, so Insert's return value and
     /// num_keys() count distinct keys, never filter positives.
-    bool ExactMemberLocked(const State& s, std::string_view key) const {
-      for (const std::string& k : s.log.locked()) {
-        if (k == key) return true;
-      }
+    bool ExactMemberLocked(const State& s, std::string_view key,
+                           uint64_t tag) const {
+      if (LogContains(s.log.locked(), key, tag)) return true;
       if (SortedContains(s.frozen, key)) return true;
       if (s.pending != nullptr && SortedContains(*s.pending, key)) {
         return true;
@@ -309,11 +373,14 @@ class RebuildableExistence {
     State* FreezeLocked(const State& s) {
       Keys frozen;
       frozen.reserve(s.frozen.size() + s.log.size_locked());
-      s.log.Fold(s.frozen, std::identity{},
-                 [&](const std::string* f, const std::string*,
-                     const std::string* last) {
-                   frozen.push_back(last != nullptr ? *last : *f);
-                 });
+      const auto strs = Column<kStr>(s.log.locked());
+      auto str = [&](uint32_t i) { return StringArena::View(strs[i]); };
+      s.log.Fold(
+          s.frozen, [](const std::string& f) { return std::string_view(f); },
+          str, [&](const std::string& f) { frozen.push_back(f); },
+          [&](const std::string*, uint32_t, uint32_t last) {
+            frozen.emplace_back(str(last));
+          });
       State* ns = NewState(s.filter, s.corpus, s.pending, std::move(frozen));
       version_.PublishFreeze(ns);
       return ns;
@@ -383,7 +450,12 @@ class RebuildableExistence {
         }
         // Keep the live log tail: readers of the new version must still
         // see the entries the old version's log holds.
-        for (const std::string& k : s->log.locked()) ns->log.Append(k);
+        const LogView tail = s->log.locked();
+        for (size_t i = 0; i < tail.size(); ++i) {
+          ns->log.Append(Column<kTag>(tail)[i],
+                         ns->strings.Add(
+                             StringArena::View(Column<kStr>(tail)[i])));
+        }
         version_.Publish(ns);
         version_.DrainDeferred(lk);
       }

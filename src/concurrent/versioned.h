@@ -1,4 +1,4 @@
-// Versioned<State> and WriteLog<Entry> — the version lifecycle shared by
+// Versioned<State> and WriteLog<Cols...> — the version lifecycle shared by
 // every concurrent wrapper (ConcurrentWritableIndex, ConcurrentPointIndex,
 // RebuildableExistence) and by ShardedIndex's routing map.
 //
@@ -8,7 +8,8 @@
 //   State = { base        (shared with older versions; replaced only by a
 //                          background rebuild)
 //           , frozen      (sorted overlay, one entry per key)
-//           , log         (WriteLog<Entry>::Segment: append-only, bounded) }
+//           , log         (WriteLog<Cols...>::Segment: append-only,
+//                          bounded, one array per field) }
 //
 // Readers take a Pin(): one epoch pin plus one atomic load. Everything a
 // reader dereferences was published with the version, or sits behind the
@@ -40,11 +41,14 @@
 #include <mutex>
 #include <numeric>
 #include <span>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "concurrent/epoch.h"
 #include "index/concurrent_writable_index.h"
+#include "simd/dispatch.h"
 
 namespace li::concurrent {
 
@@ -143,77 +147,135 @@ class Versioned {
   std::atomic<uint64_t> freezes_{0};
 };
 
+/// A prefix of a WriteLog segment: the same `size()` slots of every
+/// column. Column<C>(view) is column C as a span.
+template <typename... Cols>
+struct LogView {
+  std::tuple<const Cols*...> cols;
+  size_t n = 0;
+  size_t size() const { return n; }
+  bool empty() const { return n == 0; }
+};
+
+template <size_t C, typename... Cols>
+auto Column(const LogView<Cols...>& v) {
+  return std::span(std::get<C>(v.cols), v.n);
+}
+
+/// The log's share of a rank: the sum of nets[i] over every slot whose
+/// key is below `key`. uint64_t keys take the dispatched kernel; other
+/// key types a branchless loop.
+template <typename Key>
+int64_t LogSumBelow(const simd::Kernels& k, std::span<const Key> keys,
+                    const int8_t* nets, const Key& key) {
+  if constexpr (std::is_same_v<Key, uint64_t>) {
+    return k.sum_below_u64(keys.data(), nets, keys.size(), key);
+  } else {
+    int64_t sum = 0;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      sum += static_cast<int64_t>(nets[i]) &
+             -static_cast<int64_t>(keys[i] < key);
+    }
+    return sum;
+  }
+}
+
+/// The newest slot whose key equals `key`, or keys.size() if none (the
+/// newest-wins probe). uint64_t keys take the dispatched kernel.
+template <typename Key>
+size_t LogFindLast(const simd::Kernels& k, std::span<const Key> keys,
+                   const Key& key) {
+  if constexpr (std::is_same_v<Key, uint64_t>) {
+    return k.find_last_eq_u64(keys.data(), keys.size(), key);
+  } else {
+    for (size_t i = keys.size(); i-- > 0;) {
+      if (keys[i] == key) return i;
+    }
+    return keys.size();
+  }
+}
+
 /// The writer side of a versioned wrapper: the one mutex writers
 /// serialize on, with its contention count, and the per-version bounded
-/// log (Segment) they append to.
-template <typename Entry>
+/// log (Segment) they append to. A Segment stores its writes as columns,
+/// one array per field (`Cols`), so a read scans a dense key column (with
+/// a dispatched SIMD kernel when the key is uint64_t, simd/dispatch.h)
+/// and touches the other fields only at the slot it matched.
+template <typename... Cols>
 class WriteLog {
  public:
-  /// One version's append-only log. Entries below the count are published
+  using View = LogView<Cols...>;
+
+  /// One version's append-only log. Slots below the count are published
   /// by a release store of it; slots past it belong to the writer.
   class Segment {
    public:
+    /// Bytes each slot allocates, over all columns.
+    static constexpr size_t kSlotBytes = (sizeof(Cols) + ...);
+
     explicit Segment(size_t cap)
-        : entries_(std::make_unique<Entry[]>(cap)), cap_(cap) {}
+        : cols_(std::make_unique<Cols[]>(cap)...), cap_(cap) {}
 
     /// The published prefix (acquire load of the count): what a reader
-    /// may scan. Scan the span, not the segment: its data pointer then
-    /// stays in a register across the loop.
-    std::span<const Entry> published() const {
-      return {entries_.get(), count_.load(std::memory_order_acquire)};
+    /// may scan. Scan the view, not the segment: its column pointers then
+    /// stay in registers across the loop.
+    View published() const {
+      return View{pointers(), count_.load(std::memory_order_acquire)};
     }
     /// The written prefix, for the writer-mutex holder.
-    std::span<const Entry> locked() const {
-      return {entries_.get(), size_locked()};
-    }
+    View locked() const { return View{pointers(), size_locked()}; }
     uint32_t size_locked() const {
       return count_.load(std::memory_order_relaxed);
     }
     size_t capacity() const { return cap_; }
     bool full_locked() const { return size_locked() == cap_; }
+    /// What the columns allocate.
+    size_t SizeBytes() const { return cap_ * kSlotBytes; }
 
-    /// Writer-mutex holder only; requires !full_locked().
-    void Append(Entry e) {
+    /// Writer-mutex holder only; requires !full_locked(). One value per
+    /// column.
+    void Append(Cols... fields) {
       const uint32_t n = size_locked();
-      entries_[n] = std::move(e);
+      Store(n, std::index_sequence_for<Cols...>{}, std::move(fields)...);
       count_.store(n + 1, std::memory_order_release);
     }
 
     /// Newest-per-key fold of the written prefix (writer mutex held) over
     /// `frozen` (sorted by key, one entry per key; a container or a
-    /// dynamic::DeltaBuffer).
-    /// Calls, in key order, once per key of the union:
-    ///   emit(f, nullptr, nullptr)  the key is only in `frozen` (entry f);
-    ///   emit(f, first, last)       the key is in the log: its oldest and
-    ///                              newest write, and the frozen entry f
-    ///                              they shadow (nullptr if none).
-    /// `key_of` projects both entry types to the key.
-    template <typename Frozen, typename KeyOf, typename Emit>
-    void Fold(const Frozen& frozen, KeyOf key_of, Emit emit) const {
+    /// dynamic::DeltaBuffer). `frozen_key(f)` and `log_key(slot)` project
+    /// a frozen entry and a log slot to one comparable key. Calls, in key
+    /// order, once per key of the union:
+    ///   keep(f)                 the key is only in `frozen` (entry f);
+    ///   write(f, first, last)   the key is in the log: the slots of its
+    ///                           oldest and newest write, and the frozen
+    ///                           entry f they shadow (nullptr if none).
+    template <typename Frozen, typename FrozenKey, typename LogKey,
+              typename Keep, typename Write>
+    void Fold(const Frozen& frozen, FrozenKey frozen_key, LogKey log_key,
+              Keep keep, Write write) const {
       using F = typename Frozen::value_type;
-      const Entry* log = entries_.get();
       const uint32_t n = size_locked();
       std::vector<uint32_t> order(n);
       std::iota(order.begin(), order.end(), 0u);
       std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        if (key_of(log[a]) < key_of(log[b])) return true;
-        if (key_of(log[b]) < key_of(log[a])) return false;
-        return a < b;  // log order is write order: oldest first
+        if (log_key(a) < log_key(b)) return true;
+        if (log_key(b) < log_key(a)) return false;
+        return a < b;  // slot order is write order: oldest first
       });
       size_t oi = 0;
       auto group = [&](const F* shadowed) {
-        const Entry& first = log[order[oi]];
+        const uint32_t first = order[oi];
         size_t end = oi + 1;
-        while (end < n && key_of(log[order[end]]) == key_of(first)) ++end;
-        emit(shadowed, &first, &log[order[end - 1]]);
+        while (end < n && log_key(order[end]) == log_key(first)) ++end;
+        write(shadowed, first, order[end - 1]);
         oi = end;
       };
       auto visit = [&](const F& f) {
-        while (oi < n && key_of(log[order[oi]]) < key_of(f)) group(nullptr);
-        if (oi < n && key_of(log[order[oi]]) == key_of(f)) {
+        while (oi < n && log_key(order[oi]) < frozen_key(f)) group(nullptr);
+        if (oi < n && log_key(order[oi]) == frozen_key(f)) {
           group(&f);
         } else {
-          emit(&f, nullptr, nullptr);
+          keep(f);
         }
         return true;
       };
@@ -226,7 +288,19 @@ class WriteLog {
     }
 
    private:
-    std::unique_ptr<Entry[]> entries_;
+    std::tuple<const Cols*...> pointers() const {
+      return std::apply(
+          [](const auto&... col) {
+            return std::tuple<const Cols*...>(col.get()...);
+          },
+          cols_);
+    }
+    template <size_t... C>
+    void Store(uint32_t slot, std::index_sequence<C...>, Cols&&... fields) {
+      ((std::get<C>(cols_)[slot] = std::move(fields)), ...);
+    }
+
+    std::tuple<std::unique_ptr<Cols[]>...> cols_;
     size_t cap_;
     std::atomic<uint32_t> count_{0};
   };

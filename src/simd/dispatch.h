@@ -2,8 +2,9 @@
 //
 // The paper's "model is the index" claim lives on predict throughput, so
 // the batched inner loops (top-model routing, leaf linear predict, the
-// bounded last-mile search, and learned/random hash slot computation) are
-// implemented as data-parallel kernels at three ISA levels:
+// bounded last-mile search, learned/random hash slot computation, and the
+// write-log scans every concurrent read folds in) are implemented as
+// data-parallel kernels at three ISA levels:
 //
 //   * scalar   — always compiled; the reference semantics.
 //   * avx2     — 4 x 64-bit lanes (requires AVX2 + FMA).
@@ -108,6 +109,17 @@ struct Kernels {
   /// distinct-bucket fix-up (callers patch b2 == b1 scalarly).
   void (*cuckoo_slots)(const uint64_t* keys, size_t n, uint64_t seed,
                        uint64_t num_buckets, uint64_t* b1, uint64_t* b2);
+
+  /// Write-log rank fold: the sum of nets[i] over every i < n with
+  /// keys[i] < key (unsigned compare) — the log's share of a lower_bound
+  /// rank over a columnar write log (concurrent/versioned.h).
+  int64_t (*sum_below_u64)(const uint64_t* keys, const int8_t* nets,
+                           size_t n, uint64_t key);
+
+  /// Newest-wins log probe: the largest i < n with tags[i] == key, or n
+  /// if there is none. Calling it again with n = the previous answer
+  /// yields the next older match.
+  size_t (*find_last_eq_u64)(const uint64_t* tags, size_t n, uint64_t key);
 };
 
 /// The table for the active level (detected, env-overridden, or forced).

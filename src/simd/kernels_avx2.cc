@@ -290,6 +290,85 @@ void CuckooSlotsAvx2(const uint64_t* keys, size_t n, uint64_t seed,
   }
 }
 
+// Eight int8 nets sign-extended to two vectors of four int64 lanes.
+inline void LoadNets8(const int8_t* nets, __m256i* lo, __m256i* hi) {
+  const __m128i b = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(nets));
+  *lo = _mm256_cvtepi8_epi64(b);
+  *hi = _mm256_cvtepi8_epi64(_mm_srli_si128(b, 4));
+}
+
+int64_t SumBelowU64Avx2(const uint64_t* keys, const int8_t* nets, size_t n,
+                        uint64_t key) {
+  // AVX2 has only a signed 64-bit compare: flip the sign bit of both sides.
+  const __m256i off = _mm256_set1_epi64x(
+      static_cast<long long>(0x8000000000000000ULL));
+  const __m256i vkey = _mm256_xor_si256(
+      _mm256_set1_epi64x(static_cast<long long>(key)), off);
+  __m256i acc0 = _mm256_setzero_si256();
+  __m256i acc1 = _mm256_setzero_si256();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i k0 = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i)), off);
+    const __m256i k1 = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i + 4)),
+        off);
+    __m256i n0;
+    __m256i n1;
+    LoadNets8(nets + i, &n0, &n1);
+    acc0 = _mm256_add_epi64(
+        acc0, _mm256_and_si256(n0, _mm256_cmpgt_epi64(vkey, k0)));
+    acc1 = _mm256_add_epi64(
+        acc1, _mm256_and_si256(n1, _mm256_cmpgt_epi64(vkey, k1)));
+  }
+  int64_t sum = static_cast<int64_t>(HSum4(_mm256_add_epi64(acc0, acc1)));
+  for (; i < n; ++i) {
+    sum += static_cast<int64_t>(nets[i]) &
+           -static_cast<int64_t>(keys[i] < key);
+  }
+  return sum;
+}
+
+// One bit per lane of an all-ones/all-zeros 64-bit compare result.
+inline uint32_t LaneBits(__m256i eq) {
+  return static_cast<uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
+}
+
+size_t FindLastEqU64Avx2(const uint64_t* tags, size_t n, uint64_t key) {
+  const __m256i vkey = _mm256_set1_epi64x(static_cast<long long>(key));
+  auto eq = [&](size_t at) {
+    return _mm256_cmpeq_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tags + at)),
+        vkey);
+  };
+  // Blocks of 16 from the newest end; one branch per block.
+  size_t i = n;
+  while (i >= 16) {
+    i -= 16;
+    const __m256i e0 = eq(i);
+    const __m256i e1 = eq(i + 4);
+    const __m256i e2 = eq(i + 8);
+    const __m256i e3 = eq(i + 12);
+    const __m256i any =
+        _mm256_or_si256(_mm256_or_si256(e0, e1), _mm256_or_si256(e2, e3));
+    if (!_mm256_testz_si256(any, any)) {
+      const uint32_t bits = LaneBits(e0) | LaneBits(e1) << 4 |
+                            LaneBits(e2) << 8 | LaneBits(e3) << 12;
+      return i + 31 - static_cast<size_t>(__builtin_clz(bits));
+    }
+  }
+  while (i >= 4) {
+    i -= 4;
+    if (const uint32_t bits = LaneBits(eq(i)); bits != 0) {
+      return i + 31 - static_cast<size_t>(__builtin_clz(bits));
+    }
+  }
+  while (i-- > 0) {
+    if (tags[i] == key) return i;
+  }
+  return n;
+}
+
 }  // namespace
 
 const Kernels* Avx2Kernels() {
@@ -298,6 +377,7 @@ const Kernels* Avx2Kernels() {
       LowerBoundU64Avx2, LowerBoundF64Avx2, UpperBoundU64Avx2,
       LowerBoundU64MultiAvx2, LowerBoundF64MultiAvx2,
       U64ToF64Avx2,    HashSlotsAvx2,    CuckooSlotsAvx2,
+      SumBelowU64Avx2, FindLastEqU64Avx2,
   };
   return &kTable;
 }

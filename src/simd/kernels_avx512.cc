@@ -271,6 +271,67 @@ void CuckooSlotsAvx512(const uint64_t* keys, size_t n, uint64_t seed,
   }
 }
 
+// Eight int8 nets sign-extended to eight int64 lanes.
+inline __m512i LoadNets8(const int8_t* nets) {
+  return _mm512_cvtepi8_epi64(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(nets)));
+}
+
+int64_t SumBelowU64Avx512(const uint64_t* keys, const int8_t* nets, size_t n,
+                          uint64_t key) {
+  const __m512i vkey = _mm512_set1_epi64(static_cast<long long>(key));
+  __m512i acc0 = _mm512_setzero_si512();
+  __m512i acc1 = _mm512_setzero_si512();
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __mmask8 lt0 =
+        _mm512_cmplt_epu64_mask(_mm512_loadu_si512(keys + i), vkey);
+    const __mmask8 lt1 =
+        _mm512_cmplt_epu64_mask(_mm512_loadu_si512(keys + i + 8), vkey);
+    acc0 = _mm512_mask_add_epi64(acc0, lt0, acc0, LoadNets8(nets + i));
+    acc1 = _mm512_mask_add_epi64(acc1, lt1, acc1, LoadNets8(nets + i + 8));
+  }
+  for (; i + 8 <= n; i += 8) {
+    const __mmask8 lt =
+        _mm512_cmplt_epu64_mask(_mm512_loadu_si512(keys + i), vkey);
+    acc0 = _mm512_mask_add_epi64(acc0, lt, acc0, LoadNets8(nets + i));
+  }
+  int64_t sum = _mm512_reduce_add_epi64(_mm512_add_epi64(acc0, acc1));
+  for (; i < n; ++i) {
+    sum += static_cast<int64_t>(nets[i]) &
+           -static_cast<int64_t>(keys[i] < key);
+  }
+  return sum;
+}
+
+size_t FindLastEqU64Avx512(const uint64_t* tags, size_t n, uint64_t key) {
+  const __m512i vkey = _mm512_set1_epi64(static_cast<long long>(key));
+  auto eq = [&](size_t at) -> uint32_t {
+    return _mm512_cmpeq_epu64_mask(_mm512_loadu_si512(tags + at), vkey);
+  };
+  // Blocks of 32 from the newest end; one branch per block.
+  size_t i = n;
+  while (i >= 32) {
+    i -= 32;
+    const uint32_t bits = eq(i) | eq(i + 8) << 8 | eq(i + 16) << 16 |
+                          eq(i + 24) << 24;
+    if (bits != 0) return i + 31 - static_cast<size_t>(__builtin_clz(bits));
+  }
+  while (i >= 8) {
+    i -= 8;
+    if (const uint32_t bits = eq(i); bits != 0) {
+      return i + 31 - static_cast<size_t>(__builtin_clz(bits));
+    }
+  }
+  if (i > 0) {  // the oldest i < 8 slots, under a load mask
+    const __mmask8 live = static_cast<__mmask8>((1u << i) - 1);
+    const uint32_t bits = _mm512_mask_cmpeq_epu64_mask(
+        live, _mm512_maskz_loadu_epi64(live, tags), vkey);
+    if (bits != 0) return 31 - static_cast<size_t>(__builtin_clz(bits));
+  }
+  return n;
+}
+
 }  // namespace
 
 const Kernels* Avx512Kernels() {
@@ -279,6 +340,7 @@ const Kernels* Avx512Kernels() {
       LowerBoundU64Avx512, LowerBoundF64Avx512, UpperBoundU64Avx512,
       LowerBoundU64MultiAvx512, LowerBoundF64MultiAvx512,
       U64ToF64Avx512,    HashSlotsAvx512,    CuckooSlotsAvx512,
+      SumBelowU64Avx512, FindLastEqU64Avx512,
   };
   return &kTable;
 }

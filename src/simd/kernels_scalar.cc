@@ -115,6 +115,26 @@ void CuckooSlotsScalar(const uint64_t* keys, size_t n, uint64_t seed,
   }
 }
 
+// Branchless: the compare result masks the net in, so a log of random
+// keys costs no mispredicts.
+int64_t SumBelowU64Scalar(const uint64_t* keys, const int8_t* nets, size_t n,
+                          uint64_t key) {
+  int64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) {
+    sum += static_cast<int64_t>(nets[i]) &
+           -static_cast<int64_t>(keys[i] < key);
+  }
+  return sum;
+}
+
+// Newest first, stopping at the first match.
+size_t FindLastEqU64Scalar(const uint64_t* tags, size_t n, uint64_t key) {
+  for (size_t i = n; i-- > 0;) {
+    if (tags[i] == key) return i;
+  }
+  return n;
+}
+
 }  // namespace
 
 const Kernels& ScalarKernels() {
@@ -123,6 +143,7 @@ const Kernels& ScalarKernels() {
       LowerBoundU64Scalar, LowerBoundF64Scalar, UpperBoundU64Scalar,
       LowerBoundU64MultiScalar, LowerBoundF64MultiScalar,
       U64ToF64Scalar,  HashSlotsScalar,    CuckooSlotsScalar,
+      SumBelowU64Scalar, FindLastEqU64Scalar,
   };
   return kTable;
 }

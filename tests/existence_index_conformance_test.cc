@@ -26,6 +26,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
@@ -40,6 +41,7 @@
 #include "rangefilter/interval_bitmap_filter.h"
 #include "rangefilter/learned_range_filter.h"
 #include "rangefilter/workload.h"
+#include "simd/dispatch.h"
 
 namespace li {
 namespace {
@@ -232,6 +234,96 @@ TEST_F(ExistenceConformanceTest, RebuildableBloomAutoRebuildsAtStaleness) {
                                     std::to_string(i)));
   }
   CheckContract(filter, 0.03);
+}
+
+// The tag probe at every forced SIMD level: every string resident in the
+// write log answers MightContain-true at every fill, and probes of
+// strings never inserted leave the side-hit counter where it was (a tag
+// match is confirmed on the bytes, and every side structure is exact).
+TEST_F(ExistenceConformanceTest, LogResidentStringsFoundAtEveryLevel) {
+  std::vector<simd::Level> levels;
+  for (int l = 0; l < simd::kNumLevels; ++l) {
+    if (simd::LevelSupported(static_cast<simd::Level>(l))) {
+      levels.push_back(static_cast<simd::Level>(l));
+    }
+  }
+  concurrent::RebuildableExistence<bloom::BloomFilter> filter;
+  concurrent::RebuildableExistence<bloom::BloomFilter>::Config config;
+  config.rebuild = concurrent::PlainBloomRebuilder(0.01);
+  config.staleness = 0;
+  config.log_cap = 128;
+  ASSERT_TRUE(filter.Build(corpus_->keys, config).ok());
+  std::vector<std::string> absent(test_neg_->begin(),
+                                  test_neg_->begin() + 300);
+  for (int i = 0; i < 100; ++i) {
+    absent.push_back("http://log.example/x" + std::to_string(i));
+  }
+  absent.push_back("");
+  std::vector<std::string> inserted;
+  for (size_t i = 0; i < config.log_cap; ++i) {
+    inserted.push_back("http://log.example/" + std::to_string(i));
+    ASSERT_TRUE(filter.Insert(inserted.back()));
+    for (const simd::Level level : levels) {
+      simd::ScopedLevel pin(level);
+      ASSERT_TRUE(pin.status().ok());
+      for (const std::string& k : inserted) {
+        ASSERT_TRUE(filter.MightContain(k))
+            << simd::LevelName(level) << " fill=" << inserted.size() << " "
+            << k;
+      }
+      const uint64_t hits = filter.ConcurrentStats().delta_hits;
+      for (const std::string& k : absent) filter.MightContain(k);
+      ASSERT_EQ(filter.ConcurrentStats().delta_hits, hits)
+          << simd::LevelName(level) << " fill=" << inserted.size();
+    }
+  }
+  // Never frozen: every check above ran against the log alone.
+  EXPECT_EQ(filter.ConcurrentStats().log_entries, config.log_cap);
+}
+
+// Readers racing one writer across log freezes and background rebuilds:
+// a key whose Insert returned before a reader looked is always found.
+// Under TSan this covers the log's publish of tags and arena strings.
+TEST_F(ExistenceConformanceTest, ConcurrentReadersSeeEveryReturnedInsert) {
+  concurrent::RebuildableExistence<bloom::BloomFilter> filter;
+  concurrent::RebuildableExistence<bloom::BloomFilter>::Config config;
+  config.rebuild = concurrent::PlainBloomRebuilder(0.01);
+  config.staleness = 0.05;
+  config.min_side_keys = 256;
+  config.log_cap = 64;
+  const std::vector<std::string> corpus(corpus_->keys.begin(),
+                                        corpus_->keys.begin() + 2'000);
+  ASSERT_TRUE(filter.Build(corpus, config).ok());
+  std::vector<std::string> fresh;
+  for (int i = 0; i < 2'000; ++i) {
+    fresh.push_back("http://race.example/" + std::to_string(i));
+  }
+  std::atomic<size_t> done{0};  // fresh[0, done) have returned from Insert
+  std::atomic<bool> missed{false};
+  auto reader = [&](uint64_t seed) {
+    Xorshift128Plus rng(seed);
+    for (;;) {
+      const size_t n = done.load(std::memory_order_acquire);
+      if (n > 0) {
+        const std::string& k =
+            fresh[rng.NextBounded(2) == 0 ? n - 1 : rng.NextBounded(n)];
+        if (!filter.MightContain(k)) missed.store(true);
+      }
+      if (n == fresh.size()) return;
+    }
+  };
+  std::thread r1(reader, 1);
+  std::thread r2(reader, 2);
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    filter.Insert(fresh[i]);
+    done.store(i + 1, std::memory_order_release);
+  }
+  r1.join();
+  r2.join();
+  filter.WaitForRebuilds();
+  EXPECT_FALSE(missed.load());
+  EXPECT_GT(filter.ConcurrentStats().background_merges, 0u);
+  for (const std::string& k : fresh) ASSERT_TRUE(filter.MightContain(k)) << k;
 }
 
 TEST_F(ExistenceConformanceTest, RebuiltFilterSizeMatchesAFreshBuild) {

@@ -19,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "hash/inplace_chained_map.h"
 #include "index/concurrent_point_index.h"
 #include "index/point_index.h"
+#include "simd/dispatch.h"
 
 namespace li {
 namespace {
@@ -450,6 +453,65 @@ TYPED_TEST(ConcurrentPointConformanceTest, EraseThenReinsertAcrossRebuilds) {
     // After a full fold the overlay is empty: everything lives in the
     // rebuilt base table.
     EXPECT_EQ(map.ConcurrentStats().delta_entries, 0u) << name;
+  }
+}
+
+// The newest-wins log probe at every forced SIMD level: one key above
+// 2^63 rewritten many times in a single log, interleaved with other
+// writes, reads its latest payload through Find and FindBatch, and an
+// erase shadows every older write of it.
+TYPED_TEST(ConcurrentPointConformanceTest, NewestWriteWinsAtEveryLevel) {
+  std::vector<simd::Level> levels;
+  for (int l = 0; l < simd::kNumLevels; ++l) {
+    if (simd::LevelSupported(static_cast<simd::Level>(l))) {
+      levels.push_back(static_cast<simd::Level>(l));
+    }
+  }
+  constexpr uint64_t kHot = (uint64_t{1} << 63) + 12'345;
+  for (const auto& [name, config] : Configs<TypeParam>()) {
+    auto cfg = config;
+    cfg.log_cap = 512;  // every write below stays in one log
+    TypeParam map;
+    ASSERT_TRUE(map.Build(SharedRecords(), cfg).ok()) << name;
+    const std::vector<uint64_t> probes = {
+        kHot, kHot - 1, kHot + 1, 0, std::numeric_limits<uint64_t>::max(),
+        SharedRecords().front().key, kHot + 2};
+    std::optional<uint64_t> hot;
+    auto check = [&](uint64_t step) {
+      for (const simd::Level level : levels) {
+        simd::ScopedLevel pin(level);
+        ASSERT_TRUE(pin.status().ok());
+        const std::string where = name + " " + simd::LevelName(level) +
+                                  " step=" + std::to_string(step);
+        ASSERT_EQ(FindPayload(map, kHot), hot) << where;
+        std::vector<hash::Record> recs(probes.size());
+        std::vector<uint8_t> found(probes.size(), 2);
+        map.FindBatch(probes, recs, found);
+        for (size_t i = 0; i < probes.size(); ++i) {
+          const std::optional<uint64_t> want =
+              i == 0 ? hot : FindPayload(map, probes[i]);
+          ASSERT_EQ(found[i] != 0, want.has_value()) << where << " i=" << i;
+          if (want) {
+            ASSERT_EQ(recs[i].payload, *want) << where << " i=" << i;
+          }
+        }
+      }
+    };
+    check(0);
+    size_t writes = 0;
+    for (uint64_t i = 0; i < 200; ++i) {
+      if (i % 50 == 49) {
+        ASSERT_TRUE(map.Erase(kHot)) << name;
+        hot.reset();
+      } else {
+        map.Upsert({kHot, i, 0});
+        hot = i;
+      }
+      map.Upsert({kHot + 2 + i, i, 0});
+      writes += 2;
+      check(i + 1);
+    }
+    EXPECT_EQ(map.ConcurrentStats().log_entries, writes) << name;
   }
 }
 

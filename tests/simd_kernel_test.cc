@@ -3,7 +3,9 @@
 // inputs (empty / 1-key / odd-length batches, duplicate keys, window ends,
 // denormal and extreme doubles, NaN/infinity products) and end-to-end
 // (RmiIndex::LookupBatch, hash SlotBatch/FindBatch) under forced-level
-// dispatch. The concurrent point wrapper rides the same matrix: its
+// dispatch, and the write-log scan kernels (sum_below_u64,
+// find_last_eq_u64) against their plain-loop specs on logs of every block
+// shape. The concurrent point wrapper rides the same matrix: its
 // overlay-aware Find/FindBatch must stay bit-exact across levels when
 // quiesced, and level-pinned batch reads must hold the payload invariant
 // while a writer floods inserts and background rehashes republish the
@@ -307,6 +309,142 @@ TEST(SimdKernelTest, HashAndCuckooSlotsMatchScalar) {
         ASSERT_EQ(g1, w1) << k.name;
         ASSERT_EQ(g2, w2) << k.name;
       }
+    }
+  }
+}
+
+// ---- write-log scan kernels --------------------------------------------
+
+// Log lengths around every block width, up to a full default-sized log.
+const size_t kLogSizes[] = {0,  1,  3,  7,  8,  9,    15,  16,
+                            17, 31, 32, 33, 100, 1023, 1024};
+
+// Unsigned-compare edges: both sides of 2^63 (AVX2 compares signed), the
+// extremes, and neighbours of each.
+const uint64_t kLogEdgeKeys[] = {
+    0,
+    1,
+    2,
+    0x7FFF'FFFF'FFFF'FFFEULL,
+    0x7FFF'FFFF'FFFF'FFFFULL,
+    0x8000'0000'0000'0000ULL,
+    0x8000'0000'0000'0001ULL,
+    std::numeric_limits<uint64_t>::max() - 1,
+    std::numeric_limits<uint64_t>::max(),
+};
+
+// Half edge keys (so keys repeat), half uniform over the full range.
+std::vector<uint64_t> LogKeys(size_t n, uint64_t seed) {
+  Xorshift128Plus rng(seed);
+  std::vector<uint64_t> keys(n);
+  for (uint64_t& k : keys) {
+    k = rng.NextBounded(2) == 0
+            ? kLogEdgeKeys[rng.NextBounded(std::size(kLogEdgeKeys))]
+            : rng.Next();
+  }
+  return keys;
+}
+
+// The spec of Kernels::sum_below_u64, written as plainly as possible.
+int64_t SpecSumBelow(const uint64_t* keys, const int8_t* nets, size_t n,
+                     uint64_t key) {
+  int64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (keys[i] < key) sum += nets[i];
+  }
+  return sum;
+}
+
+// The spec of Kernels::find_last_eq_u64.
+size_t SpecFindLastEq(const uint64_t* tags, size_t n, uint64_t key) {
+  size_t found = n;
+  for (size_t i = 0; i < n; ++i) {
+    if (tags[i] == key) found = i;
+  }
+  return found;
+}
+
+// Probe keys for a log: the edges, every logged key and its neighbours.
+std::vector<uint64_t> LogProbes(const std::vector<uint64_t>& keys) {
+  std::vector<uint64_t> probes(std::begin(kLogEdgeKeys),
+                               std::end(kLogEdgeKeys));
+  for (size_t i = 0; i < keys.size(); i += 1 + keys.size() / 64) {
+    probes.push_back(keys[i]);
+    probes.push_back(keys[i] - 1);
+    probes.push_back(keys[i] + 1);
+  }
+  return probes;
+}
+
+TEST(SimdKernelTest, SumBelowU64MatchesSpec) {
+  for (const Level level : SupportedLevels()) {
+    const Kernels& k = KernelsFor(level);
+    for (const size_t n : kLogSizes) {
+      // One slot of slack on each side: the kernels are run at an odd
+      // offset too, so no level may assume aligned columns.
+      const auto keys = LogKeys(n + 1, 7000 + n);
+      std::vector<int8_t> nets(n + 1);
+      Xorshift128Plus rng(7100 + n);
+      for (int8_t& v : nets) {
+        // Mostly the wrapper's -1/0/+1, plus the int8 extremes to catch
+        // a zero- instead of sign-extending widen.
+        const uint64_t r = rng.NextBounded(8);
+        v = r == 0 ? int8_t{-128}
+                   : r == 1 ? int8_t{127} : static_cast<int8_t>(r % 3) - 1;
+      }
+      for (const size_t off : {size_t{0}, size_t{1}}) {
+        for (const uint64_t key : LogProbes(keys)) {
+          ASSERT_EQ(k.sum_below_u64(keys.data() + off, nets.data() + off, n,
+                                    key),
+                    SpecSumBelow(keys.data() + off, nets.data() + off, n, key))
+              << k.name << " n=" << n << " off=" << off << " key=" << key;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, FindLastEqU64ReturnsNewestMatch) {
+  for (const Level level : SupportedLevels()) {
+    const Kernels& k = KernelsFor(level);
+    for (const size_t n : kLogSizes) {
+      const auto tags = LogKeys(n + 1, 8000 + n);
+      for (const size_t off : {size_t{0}, size_t{1}}) {
+        const uint64_t* t = tags.data() + off;
+        for (const uint64_t key : LogProbes(tags)) {
+          // Walk every match newest to oldest: each call over the prefix
+          // below the previous answer must find the next older one.
+          size_t end = n;
+          for (;;) {
+            const size_t got = k.find_last_eq_u64(t, end, key);
+            ASSERT_EQ(got, SpecFindLastEq(t, end, key))
+                << k.name << " n=" << n << " end=" << end << " off=" << off
+                << " key=" << key;
+            if (got == end) break;
+            end = got;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, FindLastEqU64NewestOfManyRepeatsWins) {
+  // One tag written over and over, other tags between: the answer is the
+  // last slot at every length, wherever that slot falls in a block.
+  for (const Level level : SupportedLevels()) {
+    const Kernels& k = KernelsFor(level);
+    std::vector<uint64_t> tags(1024);
+    for (size_t i = 0; i < tags.size(); ++i) {
+      tags[i] = i % 3 == 0 ? std::numeric_limits<uint64_t>::max() : i;
+    }
+    for (size_t n = 0; n <= tags.size(); ++n) {
+      const size_t want = n == 0 ? 0 : (n - 1) / 3 * 3;
+      ASSERT_EQ(k.find_last_eq_u64(tags.data(), n,
+                                   std::numeric_limits<uint64_t>::max()),
+                want)
+          << k.name << " n=" << n;
+      ASSERT_EQ(k.find_last_eq_u64(tags.data(), n, 0), n) << k.name;
     }
   }
 }

@@ -22,9 +22,11 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "btree/dynamic_btree.h"
@@ -39,6 +41,7 @@
 #include "index/range_index.h"
 #include "index/writable_range_index.h"
 #include "rmi/rmi.h"
+#include "simd/dispatch.h"
 #include "wal/wal.h"
 
 // ---- Counting allocator hooks (for the Scan regression) ----
@@ -410,6 +413,88 @@ TEST(WritableOracleTest, ConcurrentWrapperManualMergesMatchSet) {
   EXPECT_GT(idx.Stats().merges, 0u);
 }
 
+// The write-log scan kernels under the wrapper: at every forced SIMD
+// level, Lookup, LookupBatch, Contains and ApproxPos agree with a sorted
+// oracle at every log fill from empty to full and across the freeze that
+// follows, with inserts and erases of keys on both sides of 2^63 (where
+// AVX2's signed compare needs its sign flip).
+TEST(WritableOracleTest, ConcurrentWrapperMatchesOracleAtEveryLogFillAndLevel) {
+  constexpr uint64_t kHigh = uint64_t{1} << 63;
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  std::vector<uint64_t> keys;
+  for (uint64_t i = 0; i < 1'000; ++i) keys.push_back(i * 1'000 + 500);
+  for (uint64_t i = 0; i < 1'000; ++i) keys.push_back(kHigh + i * 1'000);
+  ConcRmi::Config cfg;
+  cfg.base.num_leaf_models = 32;
+  cfg.policy.trigger = dynamic::MergeTrigger::kManual;
+  cfg.log_cap = 100;
+  ConcRmi idx;
+  ASSERT_TRUE(idx.Build(keys, cfg).ok());
+  std::set<uint64_t> oracle(keys.begin(), keys.end());
+
+  // Writes draw from a small pool, so the log rewrites keys: base keys,
+  // fresh keys on both sides of 2^63, and the extremes.
+  std::vector<uint64_t> pool = {0, kHigh - 1, kHigh, kMax};
+  for (uint64_t i = 0; i < 20; ++i) {
+    pool.push_back(i * 1'000 + 500);
+    pool.push_back(i * 1'000 + 7);
+    pool.push_back(kHigh + i * 1'000);
+    pool.push_back(kHigh + i * 1'000 + 7);
+  }
+  std::vector<uint64_t> probes;
+  for (const uint64_t k : pool) {
+    probes.push_back(k);
+    probes.push_back(k - 1);
+    probes.push_back(k + 1);
+  }
+
+  std::vector<simd::Level> levels;
+  for (int l = 0; l < simd::kNumLevels; ++l) {
+    if (simd::LevelSupported(static_cast<simd::Level>(l))) {
+      levels.push_back(static_cast<simd::Level>(l));
+    }
+  }
+  auto check = [&](size_t writes) {
+    const std::vector<uint64_t> sorted(oracle.begin(), oracle.end());
+    for (const simd::Level level : levels) {
+      simd::ScopedLevel pin(level);
+      ASSERT_TRUE(pin.status().ok());
+      std::vector<size_t> batch(probes.size());
+      idx.LookupBatch(probes, batch);
+      for (size_t i = 0; i < probes.size(); ++i) {
+        const uint64_t q = probes[i];
+        const size_t want = static_cast<size_t>(
+            std::lower_bound(sorted.begin(), sorted.end(), q) -
+            sorted.begin());
+        const std::string where = std::string(simd::LevelName(level)) +
+                                  " writes=" + std::to_string(writes) +
+                                  " q=" + std::to_string(q);
+        ASSERT_EQ(idx.Lookup(q), want) << where;
+        ASSERT_EQ(batch[i], want) << where;
+        ASSERT_EQ(idx.Contains(q), oracle.count(q) > 0) << where;
+        const index::Approx a = idx.ApproxPos(q);
+        ASSERT_EQ(a.pos, want) << where;
+        ASSERT_EQ(a.hi, std::min(want + 1, sorted.size())) << where;
+      }
+    }
+  };
+
+  check(0);
+  Xorshift128Plus rng(31);
+  // log_cap + 1 writes: the last one freezes the full log first.
+  for (size_t w = 1; w <= cfg.log_cap + 1; ++w) {
+    const uint64_t k = pool[rng.NextBounded(pool.size())];
+    if (rng.NextBounded(3) == 0) {
+      ASSERT_EQ(idx.Erase(k), oracle.erase(k) > 0) << k;
+    } else {
+      ASSERT_EQ(idx.Insert(k), oracle.insert(k).second) << k;
+    }
+    ASSERT_EQ(idx.ConcurrentStats().log_entries, (w - 1) % cfg.log_cap + 1);
+    check(w);
+  }
+  EXPECT_EQ(idx.ConcurrentStats().freezes, 1u);
+}
+
 TEST(WritableOracleTest, ShardedWrapperMatchesSet) {
   const auto keys = SeedKeys(20'000, 16);
   ShardedRmi::Config cfg;
@@ -557,6 +642,39 @@ TEST(MergePolicyTest, ManualNeverAutoMerges) {
   dynamic::MergePolicy p;
   p.trigger = dynamic::MergeTrigger::kManual;
   EXPECT_FALSE(dynamic::ShouldMerge(p, 1 << 30, 10, 1 << 20, 0));
+}
+
+TEST(MergePolicyTest, OnlyWriteRatioReadsTheReadCount) {
+  // ConcurrentWritableIndex sums its striped read counters only for the
+  // write-ratio trigger; that is sound because no other trigger's
+  // decision depends on the read count.
+  dynamic::MergePolicy p;
+  p.min_delta_entries = 100;
+  p.max_delta_entries = 1000;
+  for (const dynamic::MergeTrigger trigger :
+       {dynamic::MergeTrigger::kSizeThreshold,
+        dynamic::MergeTrigger::kManual}) {
+    p.trigger = trigger;
+    for (const size_t delta : {size_t{0}, size_t{99}, size_t{100},
+                               size_t{500}, size_t{1} << 20}) {
+      for (const uint64_t writes : {uint64_t{0}, uint64_t{10},
+                                    uint64_t{1} << 20}) {
+        const bool without_reads =
+            dynamic::ShouldMerge(p, delta, 5000, writes, 0);
+        for (const uint64_t reads : {uint64_t{1}, uint64_t{1000},
+                                     uint64_t{1} << 40}) {
+          EXPECT_EQ(dynamic::ShouldMerge(p, delta, 5000, writes, reads),
+                    without_reads)
+              << static_cast<int>(trigger) << " delta=" << delta
+              << " writes=" << writes << " reads=" << reads;
+        }
+      }
+    }
+  }
+  // The write-ratio trigger does read it: same writes, reads decide.
+  p.trigger = dynamic::MergeTrigger::kWriteRatio;
+  EXPECT_FALSE(dynamic::ShouldMerge(p, 200, 5000, 100, 0));
+  EXPECT_TRUE(dynamic::ShouldMerge(p, 200, 5000, 100, 900));
 }
 
 // ---- The delta buffer's rank bookkeeping in isolation ----
